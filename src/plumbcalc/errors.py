@@ -11,3 +11,7 @@ class DomainError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class ContractError(DomainError):
+    """A runtime contract failed (code ``contract-*``); explicit, so ``-O`` keeps it."""

@@ -1,16 +1,17 @@
 """Exact integer linear algebra.
 
-All arithmetic uses Python's arbitrary-precision integers (exact rationals
-inside the signature reduction); nothing here ever touches floating point.
-This module provides the determinant / Smith normal form / signature kernel
-that the monodromy, plumbing and obstruction layers build on.
+All arithmetic uses Python's arbitrary-precision integers; nothing here
+touches floating point or fractions.  One fraction-free (Bareiss) pass gives
+the determinant, the rank and the signature; Smith reduction starts over
+with Hermite forms kept reduced should its entries outgrow the Hadamard
+bound of its input.  This is the kernel that the monodromy, plumbing and
+obstruction layers build on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 from .errors import DomainError
 
@@ -92,11 +93,8 @@ class IntMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        rows = self.to_rows()
+        return self.is_square and all(r == list(c) for r, c in zip(rows, zip(*rows)))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -152,124 +150,220 @@ class AbelianGroupDesc:
         return "+".join(parts) if parts else "0"
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def _bareiss(a: list[list[int]], symmetric: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of ``a`` in place; returns
+    ``(minors, sign)``.  ``minors`` starts at 1 and gains the leading minor of
+    the permuted ``a`` at each step (its length less one is the rank), and
+    ``sign`` is that of the permutations.  Rows the pivot column misses are
+    not rescaled but keep the minor they are over in ``base``, so sparse
+    forms cost about O(n^2).  ``symmetric`` pivots on the diagonal; a zero
+    diagonal splits off a hyperbolic pair, recorded as 0 and the next minor."""
+    nr, nc = len(a), len(a[0]) if a else 0
+    base, minors, sign, k = [1] * nr, [1], 1, 0
+    while k < nr and k < nc:
+        prev = minors[-1]
+        step = 1
+        if not a[k][k]:  # bring (row, column) pairs to the pivot positions
+            if symmetric:
+                i = next((i for i in range(k, nr) if a[i][i]), nr)
+                moves = [(i, i)] if i < nr else next(
+                    ([(i, i), (j, j)] for i in range(k, nr) for j in range(i + 1, nc) if a[i][j]),
+                    [])
+            else:
+                moves = next(([(i, j)] for j in range(k, nc) for i in range(k, nr) if a[i][j]), [])
+            if not moves:
+                break
+            for d, (i, j) in enumerate(moves, k):
+                if i != d:
+                    a[i], a[d], base[i], base[d], sign = a[d], a[i], base[d], base[i], -sign
+                if j != d:
+                    for row in a:
+                        row[j], row[d] = row[d], row[j]
+                    sign = -sign
+            step = len(moves)
+        for d in range(k, k + step) if step > 1 or base[k] != prev else ():
+            a[d] = [x * prev // base[d] for x in a[d]]
+        rk = a[k]
+        if step == 1:
+            p = rk[k]
+            for r in range(k + 1, nr):
+                row = a[r]
+                x = row[k]
+                if x:
+                    d = base[r]
+                    for j in range(k + 1, nc):
+                        row[j] = (row[j] * p - x * rk[j]) // d
+                    base[r] = p
+            minors.append(p)
+        else:  # the pair [[0, b], [b, 0]]: D_(k+2) = -b^2 / D_k
+            rl, b = a[k + 1], rk[k + 1]
+            p = -b * b // prev
+            for r in range(k + 2, nr):
+                row = a[r]
+                x, y = row[k], row[k + 1]
+                if x or y:
+                    d = prev * base[r]
+                    for j in range(k + 2, nc):
+                        row[j] = b * (x * rl[j] + y * rk[j] - b * row[j]) // d
+                    base[r] = p
+            minors += [0, p]
+        k += step
+    return minors, sign
 
 
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+def _axpy(dst: list[int], src: list[int], c: int) -> None:
+    """``dst += c * src`` in place."""
+    for j, y in enumerate(src):
+        if y:
+            dst[j] += c * y
 
 
-def _row_axpy(m: list[list[int]], dst: int, src: int, c: int) -> None:
-    rd, rs = m[dst], m[src]
-    for k in range(len(rd)):
-        rd[k] += c * rs[k]
+def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
+    """Row Hermite normal form of ``w`` in place (positive pivots reducing the
+    entries above them, zero rows last), doing the same row operations on
+    ``c``.  Rows go in one at a time and those so far are kept reduced
+    (Kannan-Bachem), so entries stay bounded by the minors of ``w``."""
+    hw, hc, cols, zw, zc = [], [], [], [], []  # pivot rows, companions, pivot columns
+    for row, crow in zip(w, c):
+        first = len(hw)  # pivot rows from here on need reducing again
+        lead = 0
+        while True:
+            lead = next((j for j in range(lead, len(row)) if row[j]), -1)
+            s = next((s for s, col in enumerate(cols) if col >= lead), len(cols))
+            if lead < 0 or s == len(cols) or cols[s] != lead:
+                break
+            q = row[lead] // hw[s][lead]
+            _axpy(row, hw[s], -q)
+            _axpy(crow, hc[s], -q)
+            while row[lead]:  # the pivot does not divide: Euclid on the pair
+                q = hw[s][lead] // row[lead]
+                _axpy(hw[s], row, -q)
+                _axpy(hc[s], crow, -q)
+                hw[s], row, hc[s], crow = row, hw[s], crow, hc[s]
+                first = min(first, s)
+        if lead < 0:
+            zw.append(row)
+            zc.append(crow)
+        else:
+            if row[lead] < 0:
+                row, crow = [-x for x in row], [-x for x in crow]
+            cols.insert(s, lead)
+            hw.insert(s, row)
+            hc.insert(s, crow)
+            first = min(first, s)
+        for s in range(first, len(hw)):
+            for s2 in range(s):
+                q = hw[s2][cols[s]] // hw[s][cols[s]]
+                _axpy(hw[s2], hw[s], -q)
+                _axpy(hc[s2], hc[s], -q)
+    w[:] = hw + zw
+    c[:] = hc + zc
 
 
-def _col_axpy(m: list[list[int]], dst: int, src: int, c: int) -> None:
-    for row in m:
-        row[dst] += c * row[src]
+def _hadamard(k: int, b: int) -> int:
+    """A power of two at least the Hadamard bound ``(sqrt(k) b)^k``."""
+    return 1 << k * (b.bit_length() + (k.bit_length() + 1) // 2)
 
 
-def _smith(mat: list[list[int]], track: bool):
-    """Diagonalize ``mat`` in place by unimodular row/column operations.
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    Pivot rule: smallest nonzero absolute value in the remaining block (keeps
-    intermediate growth tame).  Returns ``(u, v)`` witnessing the reduction
-    when ``track`` is set, else ``(None, None)``.
-    """
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if track else None
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)] if track else None
 
-    for t in range(min(nr, nc)):
-        # locate the smallest-magnitude nonzero pivot
-        best = 0
-        pi = pj = -1
+def _smith(m: IntMatrix, track: bool):
+    """Diagonalize ``m`` by unimodular row and column operations; returns
+    the form and, with ``track``, ``u`` and ``v`` transposed (``u @ m @ v``).
+
+    Pivot rule: smallest nonzero absolute value in the remaining block (in
+    its row and column while remainders are left), with the divisor chain
+    enforced at each pivot: cheap on sparse forms, whose pivots are mostly
+    units.  Should an entry exceed the Hadamard bound ``H = (sqrt(k) B)^k``
+    of ``m`` (``k`` the smaller dimension, ``B`` the largest entry), or a
+    finished certificate row ``H^2``, the reduction starts over from ``m``
+    diagonalized by row and column Hermite forms kept reduced (Kannan-Bachem
+    1979), and then only enforces the divisor chain.  Sizes are not checked
+    after that restart: the certificate bound is a checked guarantee on the
+    smallest-pivot path only, and on the restart path a measured one."""
+    nr, nc, mat = m.rows, m.cols, m.to_rows()
+    u, vt = (_identity(nr), _identity(nc)) if track else ([[]] * nr, [[]] * nc)
+    limit, grown, full, t = None, False, True, 0  # full: search all the block
+    while True:
+        best, top, pi, pj = 0, 0, -1, -1
         for i in range(t, nr):
             row = mat[i]
-            for j in range(t, nc):
+            for j in range(t, nc) if full or i == t else (t,):
                 x = row[j]
-                if x and (pi < 0 or -best < x < best):
-                    best = abs(x)
-                    pi, pj = i, j
+                if x:
+                    x = -x if x < 0 else x
+                    if pi < 0 or x < best:
+                        best, pi, pj = x, i, j
+                    if x > top:
+                        top = x
+        if limit is None:
+            limit = _hadamard(min(nr, nc), top)
+        elif top > limit or grown:
+            limit, grown, full, t, mat = inf, False, True, 0, m.to_rows()
+            u, vt = (_identity(nr), _identity(nc)) if track else (u, vt)
+            while any(x for i, row in enumerate(mat) for j, x in enumerate(row) if i != j):
+                _hermite(mat, u)
+                mat = [list(col) for col in zip(*mat)]
+                _hermite(mat, vt)
+                mat = [list(col) for col in zip(*mat)]
+            continue
         if pi < 0:
-            break
-        if pi != t:
-            _swap_rows(mat, t, pi)
-            if track:
-                _swap_rows(u, t, pi)
-        if pj != t:
-            _swap_cols(mat, t, pj)
-            if track:
-                _swap_cols(v, t, pj)
-
-        while True:
-            again = False
-            for i in range(t + 1, nr):
-                x = mat[i][t]
-                if not x:
-                    continue
-                q = x // mat[t][t]
-                if q:
-                    _row_axpy(mat, i, t, -q)
-                    if track:
-                        _row_axpy(u, i, t, -q)
-                if mat[i][t]:
-                    # remainder is strictly smaller: promote it to the pivot
-                    _swap_rows(mat, t, i)
-                    if track:
-                        _swap_rows(u, t, i)
-                    again = True
-            for j in range(t + 1, nc):
-                x = mat[t][j]
-                if not x:
-                    continue
-                q = x // mat[t][t]
-                if q:
-                    _col_axpy(mat, j, t, -q)
-                    if track:
-                        _col_axpy(v, j, t, -q)
-                if mat[t][j]:
-                    _swap_cols(mat, t, j)
-                    if track:
-                        _swap_cols(v, t, j)
-                    again = True
-            if again:
+            if track and any(max(r) > limit**2 or -min(r) > limit**2 for r in u[t:] + vt[t:]):
+                grown = True
                 continue
-            # enforce the divisor chain: pivot must divide the whole block
-            p = mat[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                row = mat[i]
-                for j in range(t + 1, nc):
-                    if row[j] % p:
-                        _row_axpy(mat, t, i, 1)
-                        if track:
-                            _row_axpy(u, t, i, 1)
-                        dirty = True
-                        break
-                if dirty:
-                    break
-            if not dirty:
-                break
-        if mat[t][t] < 0:
-            for k in range(nc):
-                mat[t][k] = -mat[t][k]
-            if track:
-                for k in range(nr):
-                    u[t][k] = -u[t][k]
-    return u, v
+            return mat, u, vt
+        if pi != t:
+            mat[t], mat[pi], u[t], u[pi] = mat[pi], mat[t], u[pi], u[t]
+        if pj != t:
+            for row in mat[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            vt[t], vt[pj] = vt[pj], vt[t]
+        rt = mat[t]
+        p = rt[t]
+        clean = True
+        for i in range(t + 1, nr):
+            ri = mat[i]
+            if ri[t]:
+                q = ri[t] // p
+                if q:
+                    _axpy(ri, rt, -q)
+                    if track:
+                        _axpy(u[i], u[t], -q)
+                clean = clean and not ri[t]
+        for j in range(t + 1, nc):
+            if rt[j]:
+                q = rt[j] // p
+                if q:
+                    for row in mat[t:]:
+                        if row[t]:
+                            row[j] -= q * row[t]
+                    if track:
+                        _axpy(vt[j], vt[t], -q)
+                clean = clean and not rt[j]
+        full = clean
+        if not clean:
+            continue  # a remainder is left: it is the next, smaller pivot
+        if p != 1 and p != -1:
+            # enforce the divisor chain: the pivot must divide the whole block
+            dirty = next((i for i in range(t + 1, nr) if any(x % p for x in mat[i][t + 1:])), 0)
+            if dirty:
+                _axpy(rt, mat[dirty], 1)
+                if track:
+                    _axpy(u[t], u[dirty], 1)
+                full = False
+                continue
+        if p < 0:
+            rt[t], u[t] = -p, [-x for x in u[t]]
+        grown = track and max(map(abs, u[t] + vt[t])) > limit * limit
+        t += not grown
 
 
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of ``m`` (nonnegative, divisor chain), without the
     unimodular witnesses.  Cheaper than :func:`snf` for bulk homology work."""
-    work = m.to_rows()
-    _smith(work, track=False)
-    return tuple(work[i][i] for i in range(min(m.rows, m.cols)))
+    return tuple(row[i] for i, row in enumerate(_smith(m, track=False)[0][:m.cols]))
 
 
 def snf(m: IntMatrix) -> SNFResult:
@@ -277,15 +371,15 @@ def snf(m: IntMatrix) -> SNFResult:
 
     Returns ``SNFResult(d, u, v)`` with ``u @ m @ v == d``, ``u`` and ``v``
     unimodular, and ``d`` diagonal with nonnegative entries in a divisor
-    chain.  ``d`` is the unique such diagonal.
+    chain.  ``d`` is the unique such diagonal; ``u`` and ``v`` are one valid
+    choice, whose size is bounded by a check only while no restart is
+    needed (see ``_smith``).
     """
-    work = m.to_rows()
-    u, v = _smith(work, track=True)
-    d = [[work[i][j] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)]
+    work, u, vt = _smith(m, track=True)
     return SNFResult(
-        d=IntMatrix(m.rows, m.cols, tuple(x for r in d for x in r)),
+        d=IntMatrix(m.rows, m.cols, tuple(x for r in work for x in r)),
         u=IntMatrix(m.rows, m.rows, tuple(x for r in u for x in r)),
-        v=IntMatrix(m.cols, m.cols, tuple(x for r in v for x in r)),
+        v=IntMatrix(m.cols, m.cols, tuple(x for r in zip(*vt) for x in r)),
     )
 
 
@@ -293,35 +387,13 @@ def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise DomainError("non-square", "determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - aik * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    minors, sign = _bareiss(m.to_rows())
+    return sign * minors[-1] if len(minors) > m.rows else 0
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank over Q (equivalently over Z), via the invariant factors."""
-    return sum(1 for x in smith_diagonal(m) if x)
+    """Rank over Q (equivalently over Z), by Bareiss with full pivoting."""
+    return len(_bareiss(m.to_rows())[0]) - 1
 
 
 def abelian_group_of(m: IntMatrix) -> AbelianGroupDesc:
@@ -336,56 +408,16 @@ def abelian_group_of(m: IntMatrix) -> AbelianGroupDesc:
 
 
 def signature(m: IntMatrix) -> int:
-    """Signature of a symmetric matrix by exact rational congruence reduction.
-
-    Nonzero diagonal entries are split off one at a time; when the diagonal
-    is identically zero a nonzero off-diagonal pair spans a hyperbolic
-    summand contributing 0.
-    """
+    """Signature of a symmetric matrix by Sylvester's rule: symmetric
+    Bareiss elimination gives the leading minors ``D_k`` of a congruent
+    matrix, each single step adds the sign of ``D_(k-1) D_k`` and each
+    hyperbolic pair adds 0."""
     if not m.is_square:
         raise DomainError("non-square", "signature needs a square matrix")
     if not m.is_symmetric:
         raise DomainError("non-symmetric", "signature needs a symmetric matrix")
-    a = [[Fraction(x) for x in row] for row in m.to_rows()]
-    sig = 0
-    while a:
-        n = len(a)
-        i_diag = next((i for i in range(n) if a[i][i]), None)
-        if i_diag is not None:
-            d = a[i_diag][i_diag]
-            sig += 1 if d > 0 else -1
-            keep = [k for k in range(n) if k != i_diag]
-            a = [
-                [a[r][c] - a[r][i_diag] * a[i_diag][c] / d for c in keep]
-                for r in keep
-            ]
-            continue
-        pair = next(
-            ((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]), None
-        )
-        if pair is None:
-            break  # remaining block is zero
-        i, j = pair
-        b = a[i][j]
-        # clear every other row/column against the hyperbolic pair (e_i, e_j)
-        for k in range(n):
-            if k in (i, j):
-                continue
-            c = -a[k][i] / b
-            if c:
-                for l in range(n):
-                    a[k][l] += c * a[j][l]
-                for l in range(n):
-                    a[l][k] += c * a[l][j]
-            c = -a[k][j] / b
-            if c:
-                for l in range(n):
-                    a[k][l] += c * a[i][l]
-                for l in range(n):
-                    a[l][k] += c * a[l][i]
-        keep = [k for k in range(n) if k not in (i, j)]
-        a = [[a[r][c] for c in keep] for r in keep]
-    return sig
+    minors = _bareiss(m.to_rows(), symmetric=True)[0]
+    return sum((x * y > 0) - (x * y < 0) for x, y in zip(minors, minors[1:]))
 
 
 def is_perfect_square(n: int) -> bool:

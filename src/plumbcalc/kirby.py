@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 from .sl2 import SL2Element
 from .strings import family_string, recognize_family, split_relabel
 
@@ -204,10 +204,10 @@ def dualize_procedure(a) -> DualizeResult:
     result = DualizeResult(start, state, witness, ups, downs)
     target = tuple(-x for x in d) + d
     fr = result.terminal.framings
-    assert any(fr[r:] + fr[:r] == target for r in range(len(fr))), (
-        f"dualization of {a} missed the two-block normal form"
-    )
-    assert result.certified(), f"dualization of {a} failed its monodromy certificate"
+    if not any(fr[r:] + fr[:r] == target for r in range(len(fr))):
+        raise ContractError("contract-two-block", f"dualization of {a} missed the two-block form")
+    if not result.certified():
+        raise ContractError("contract-certificate", f"dualization of {a} failed its certificate")
     return result
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 from .intmat import (
     AbelianGroupDesc,
     IntMatrix,
@@ -94,7 +94,7 @@ def attach_two_handle(
 ) -> tuple[SurgeryPresentation, AbelianGroupDesc]:
     """Border the linking matrix by the class (row/column kappa, corner the
     framing).  Requires infinite order; the free rank then drops by exactly
-    one, which is asserted."""
+    one, which is checked (``contract-free-rank``)."""
     if not has_infinite_order(p, k):
         raise DomainError(
             "finite-order-class",
@@ -107,7 +107,8 @@ def attach_two_handle(
     new_p = SurgeryPresentation(new_linking)
     before = p.homology
     after = new_p.homology
-    assert after.free_rank == before.free_rank - 1, "free rank must drop by exactly 1"
+    if after.free_rank != before.free_rank - 1:
+        raise ContractError("contract-free-rank", "free rank must drop by exactly 1")
     return new_p, after
 
 
@@ -131,5 +132,6 @@ def rohlin_mu(m: IntMatrix) -> int:
         raise DomainError("determinant-not-unit", "the presentation must be unimodular")
     sigma = signature(m)
     residue = sigma % 16
-    assert residue in (0, 8), "even unimodular signature must be 0 or 8 mod 16"
+    if residue not in (0, 8):
+        raise ContractError("contract-rohlin", "even unimodular signature must be 0 or 8 mod 16")
     return residue // 8

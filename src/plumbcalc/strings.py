@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 
 __all__ = [
     "FamilyParams",
@@ -102,9 +102,8 @@ def dual_string(b) -> tuple[int, ...]:
 
     pq = cf_value(b)
     dual_pq = cf_value(result)
-    assert dual_pq == Fraction(pq.numerator, pq.numerator - pq.denominator), (
-        f"dual rule violated the continued-fraction contract on {b}"
-    )
+    if dual_pq != Fraction(pq.numerator, pq.numerator - pq.denominator):
+        raise ContractError("contract-dual-string", f"dual rule broke the cf contract on {b}")
     return result
 
 
@@ -212,7 +211,8 @@ def split_relabel(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     else:
         d = (first[0] - 1, *first[1:-1], first[-1] - 1)
     e = tuple(second)
-    assert dual_string(d) == e, f"segments of {a} failed the duality contract"
+    if dual_string(d) != e:
+        raise ContractError("contract-family-split", f"segments of {a} failed the duality contract")
     return d, e
 
 

@@ -254,3 +254,46 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == "dual=4\n"
+
+
+class TestDenseRegressions:
+    """Inputs on which unreduced Smith elimination used to grow without
+    bound: both commands must now answer."""
+
+    DENSE_SYMMETRIC_8 = (
+        "8 8\n"
+        "-5 9 -7 -1 -6 6 5 6\n9 3 -3 -6 6 -9 3 4\n-7 -3 -9 5 -1 -2 9 -6\n"
+        "-1 -6 5 1 -9 -9 -9 8\n-6 6 -1 -9 -9 3 -3 4\n6 -9 -2 -9 3 -9 7 -2\n"
+        "5 3 9 -9 -3 7 5 6\n6 4 -6 8 4 -2 6 8\n"
+    )
+    # P^T diag(0, +-1, ...) P for a unimodular P: singular, rank 9
+    SINGULAR_10 = (
+        "10 10\n"
+        "-2 4 -3 1 -5 3 -2 5 -4 3\n4 -6 0 3 0 -3 1 -9 10 -6\n"
+        "-3 0 -4 7 -2 0 2 4 -7 -2\n1 3 7 -14 8 -1 0 1 5 3\n"
+        "-5 0 -2 8 2 0 5 3 -14 1\n3 -3 0 -1 0 -2 3 -5 11 -4\n"
+        "-2 1 2 0 5 3 -3 3 -8 2\n5 -9 4 1 3 -5 3 -3 3 -2\n"
+        "-4 10 -7 5 -14 11 -8 3 -9 11\n3 -6 -2 3 1 -4 2 -2 11 -11\n"
+    )
+
+    def test_group_of_dense_symmetric(self, capsys, tmp_path):
+        path = tmp_path / "dense.mat"
+        path.write_text(self.DENSE_SYMMETRIC_8)
+        # sympy: det 37980, invariant factors 1 (x7), 37980
+        assert invoke(capsys, "mat", "group", str(path)) == (0, "group=Z/37980\n", "")
+        assert invoke(capsys, "mat", "det", str(path)) == (0, "det=37980\n", "")
+
+    def test_attach_on_singular(self, capsys, tmp_path):
+        path = tmp_path / "singular.mat"
+        path.write_text(self.SINGULAR_10)
+        assert invoke(capsys, "mat", "group", str(path)) == (0, "group=Z\n", "")
+        code, out, _ = invoke(
+            capsys, "obstruct", "attach", str(path),
+            "--kappa=2,-2,2,-2,0,-2,0,0,0,2", "--framing", "1",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        # sympy: the bordered matrix has det 4 and invariant factors 1 (x10), 4
+        assert lines[0].startswith("bordered=-2,4,-3,1,-5,3,-2,5,-4,3,2;")
+        assert lines[0].endswith(";2,-2,2,-2,0,-2,0,0,0,2,1")
+        assert lines[1:3] == ["det=4", "homology=Z/4"]

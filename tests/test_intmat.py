@@ -20,6 +20,7 @@ from plumbcalc.intmat import (
 )
 
 from conftest import HYPERBOLIC_PLANE_ROWS, cofactor_det, random_unimodular
+from test_crosschecks import _signature_by_charpoly
 
 
 def mat(rows):
@@ -220,3 +221,163 @@ class TestTextFormat:
             parse_matrix_text("2 2 1 2 3")
         with pytest.raises(DomainError):
             parse_matrix_text("1 1 x")
+
+
+def _bits(m: IntMatrix) -> int:
+    return max((abs(x).bit_length() for x in m.entries), default=0)
+
+
+def _certificate_bound_bits(m: IntMatrix) -> int:
+    """Twice the bit length of the Hadamard bound (sqrt(k) B)^k, k the smaller
+    dimension and B the largest entry: a polynomial in k and log B."""
+    k = min(m.rows, m.cols)
+    return 2 * k * (_bits(m) + k.bit_length())
+
+
+def _random_dense(rng, n, m, bound=9):
+    return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)])
+
+
+def _singular_symmetric(rng, n):
+    """P^T diag(+-1, ..., 0) P with P unimodular: rank n - 1, dense entries."""
+    p = random_unimodular(rng, n, steps=4 * n)
+    d = [rng.choice((1, -1)) for _ in range(n)]
+    d[rng.randrange(n)] = 0
+    diag = IntMatrix.from_rows([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return p.transpose() @ diag @ p
+
+
+def _dense_cases():
+    rng = random.Random(2006)
+    cases = [_random_dense(rng, n, n) for n in range(6, 13)]
+    cases += [_singular_symmetric(rng, n) for n in (8, 10, 12)]
+    cases += [_random_dense(rng, 6, 9), _random_dense(rng, 9, 6)]
+    return cases
+
+
+class TestDenseSmithAgainstOracles:
+    """Dense, singular and non-square inputs, on which Smith elimination
+    without reduction grew without bound; answers are checked against sympy
+    and the certificates against a polynomial bound on their size."""
+
+    @pytest.mark.parametrize("m", _dense_cases(), ids=lambda m: f"{m.rows}x{m.cols}")
+    def test_snf_certificate_and_growth(self, m):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import smith_normal_form
+
+        res = snf(m)
+        reference = smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
+        k = min(m.rows, m.cols)
+        theirs = [abs(reference[i, i]) for i in range(k) if reference[i, i]]
+        assert [x for x in res.diagonal() if x] == theirs
+        assert smith_diagonal(m) == res.diagonal()
+        TestSNF()._check_invariants(m)
+        assert abs(Matrix(res.u.to_rows()).det()) == 1
+        assert abs(Matrix(res.v.to_rows()).det()) == 1
+        assert max(_bits(res.u), _bits(res.v)) <= _certificate_bound_bits(m)
+
+    @pytest.mark.parametrize("m", _dense_cases(), ids=lambda m: f"{m.rows}x{m.cols}")
+    def test_group_rank_and_det(self, m):
+        from sympy import Matrix
+
+        assert rank(m) == Matrix(m.to_rows()).rank()
+        group = abelian_group_of(m)
+        assert group.free_rank == m.rows - rank(m)
+        if m.is_square:
+            assert det(m) == Matrix(m.to_rows()).det()
+            if det(m):
+                assert group.torsion_order == abs(det(m))
+
+    def test_singular_symmetric_factors_are_units(self):
+        rng = random.Random(2007)
+        for n in (6, 9):
+            m = _singular_symmetric(rng, n)
+            assert smith_diagonal(m) == (1,) * (n - 1) + (0,)
+            assert abelian_group_of(m) == AbelianGroupDesc(1, ())
+
+
+class TestGrowthFallbacks:
+    """With the growth bound forced down to 1, every reduction, with or
+    without certificates, restarts at the first pass with alternating
+    Hermite forms.  Dense inputs rarely reach the real bound."""
+
+    def test_fallbacks_agree_with_sympy(self, monkeypatch):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import smith_normal_form
+
+        import plumbcalc.intmat as intmat_module
+
+        rng = random.Random(2011)
+        cases = _dense_cases() + [
+            mat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]),
+            mat([[0, 0], [0, 0]]),
+            mat([[0, 3], [0, 0]]),
+            _random_dense(rng, 3, 5, bound=4),
+        ]
+        monkeypatch.setattr(intmat_module, "_hadamard", lambda k, b: 1)
+        for m in cases:
+            reference = smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
+            k = min(m.rows, m.cols)
+            theirs = [abs(reference[i, i]) for i in range(k) if reference[i, i]]
+            diag = smith_diagonal(m)
+            assert [x for x in diag if x] == theirs, m
+            assert snf(m).diagonal() == diag, m
+            TestSNF()._check_invariants(m)
+
+
+def _block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    o = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[o + i][o:o + len(row)] = row
+        o += len(b)
+    return IntMatrix.from_rows(rows)
+
+
+class TestBareissRankAndSignature:
+    def test_e8_e8_hyperbolic(self, e8):
+        m = _block_sum(e8.to_rows(), e8.to_rows(), HYPERBOLIC_PLANE_ROWS)
+        assert rank(m) == 18
+        assert signature(m) == 16
+        assert det(m) == -1
+        p = random_unimodular(random.Random(2008), 18, steps=60)
+        congruent = p.transpose() @ m @ p
+        assert signature(congruent) == 16
+        assert rank(congruent) == 18
+
+    def test_negative_e8_e8_hyperbolic(self, e8):
+        neg = [[-x for x in row] for row in e8.to_rows()]
+        m = _block_sum(neg, HYPERBOLIC_PLANE_ROWS, neg)
+        assert signature(m) == -16
+        assert rank(m) == 18
+
+    def test_zero_diagonal_forms(self):
+        from sympy import Matrix
+
+        triangle = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]  # eigenvalues 2, -1, -1
+        assert signature(mat(triangle)) == -1
+        assert rank(mat(triangle)) == 3
+        hyperbolics = _block_sum(HYPERBOLIC_PLANE_ROWS, HYPERBOLIC_PLANE_ROWS, [[0]])
+        assert signature(hyperbolics) == 0
+        assert rank(hyperbolics) == 4
+        rng = random.Random(2009)
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, -3))
+            assert signature(mat(rows)) == _signature_by_charpoly(rows), rows
+            assert rank(mat(rows)) == Matrix(rows).rank(), rows
+
+    def test_rank_of_non_square(self):
+        from sympy import Matrix
+
+        rng = random.Random(2010)
+        for n, m in ((6, 9), (9, 6), (1, 7), (7, 1)):
+            a = _random_dense(rng, n, m, bound=3)
+            assert rank(a) == Matrix(a.to_rows()).rank()
+            low = IntMatrix.from_rows([[2 * x for x in a.to_rows()[0]]] + a.to_rows()[:1])
+            assert rank(low) == 1

@@ -147,3 +147,22 @@ class TestRohlinMu:
             for _ in range(25):
                 p = random_unimodular(rng, m.rows)
                 assert rohlin_mu(p.transpose() @ m @ p) == base
+
+
+class TestContracts:
+    def test_free_rank_contract_reports_error_code(self, capsys, monkeypatch, tmp_path):
+        import plumbcalc.obstruct as obstruct_module
+        from plumbcalc.cli import main
+        from plumbcalc.errors import ContractError
+
+        # a homology computation that misses the drop in free rank
+        monkeypatch.setattr(obstruct_module, "abelian_group_of", lambda m: AbelianGroupDesc(1, ()))
+        p = presentation([[0]])
+        with pytest.raises(ContractError) as err:
+            attach_two_handle(p, KnotClass((2,), 1))
+        assert err.value.code == "contract-free-rank"
+        path = tmp_path / "zero.mat"
+        path.write_text("1 1\n0\n")
+        code = main(["obstruct", "attach", str(path), "--kappa", "2", "--framing", "1"])
+        assert code == 1
+        assert capsys.readouterr().out == "error=contract-free-rank\n"
