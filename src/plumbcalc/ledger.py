@@ -160,49 +160,58 @@ class Construction:
 
     def evaluate(self, name: str) -> LedgerEntry:
         """Ledger verdict for a named graph, chaining provenance through the
-        recorded construction steps."""
+        recorded construction steps.
+
+        An operand is evaluated only when a rule consults its verdict, and
+        pending steps wait on an explicit stack, so deep histories do not
+        recurse.
+        """
         memo: dict[str, LedgerEntry] = {}
+        stack = [(name, self._rules(name))]
+        answer = None
+        while stack:
+            n, rules = stack[-1]
+            try:
+                operand = rules.send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = memo[n] = done.value
+                continue
+            answer = memo.get(operand)
+            if answer is None:
+                stack.append((operand, self._rules(operand)))
+        return answer
 
-        def visit(n: str) -> LedgerEntry:
-            if n in memo:
-                return memo[n]
-            graph = self.graph(n)
-            step = self._steps[n]
-            entry = None
-            if step[0] == "selfjoin":
-                src = step[1]
-                src_entry = visit(src)
-                if src_entry.status == STATUS_BOUNDS:
-                    q_det = det(intersection_form(graph))
-                    if q_det != 0:
-                        entry = LedgerEntry(
-                            _graph_descriptor(graph),
-                            STATUS_BOUNDS,
-                            f"self-join-nonsingular(det={q_det})<-{src_entry.reason}",
-                        )
-            elif step[0] == "join":
-                _, left, v1, right, v2 = step
-                left_entry, right_entry = visit(left), visit(right)
-                for pivot, pivot_v, other in (
-                    (left, v1, right_entry),
-                    (right, v2, left_entry),
-                ):
-                    if other.status != STATUS_BOUNDS:
-                        continue
-                    if check_join_hypotheses(self.graph(pivot), pivot_v).all_pass:
-                        entry = LedgerEntry(
-                            _graph_descriptor(graph),
-                            STATUS_BOUNDS,
-                            f"join-transfer({pivot}-hypotheses;homology-level)"
-                            f"<-{other.reason}",
-                        )
-                        break
-            if entry is None:
-                entry = evaluate_graph(graph)
-            memo[n] = entry
-            return entry
-
-        return visit(name)
+    def _rules(self, name: str):
+        """The rules for one step, as a generator: it yields the name of each
+        operand whose verdict it consults, is sent that verdict, and returns
+        the step's entry."""
+        graph = self.graph(name)
+        step = self._steps[name]
+        if step[0] == "selfjoin":
+            src_entry = yield step[1]
+            if src_entry.status == STATUS_BOUNDS:
+                q_det = det(intersection_form(graph))
+                if q_det != 0:
+                    return LedgerEntry(
+                        _graph_descriptor(graph),
+                        STATUS_BOUNDS,
+                        f"self-join-nonsingular(det={q_det})<-{src_entry.reason}",
+                    )
+        elif step[0] == "join":
+            _, left, v1, right, v2 = step
+            for pivot, pivot_v, other in ((left, v1, right), (right, v2, left)):
+                other_entry = yield other
+                if other_entry.status != STATUS_BOUNDS:
+                    continue
+                if check_join_hypotheses(self.graph(pivot), pivot_v).all_pass:
+                    return LedgerEntry(
+                        _graph_descriptor(graph),
+                        STATUS_BOUNDS,
+                        f"join-transfer({pivot}-hypotheses;homology-level)"
+                        f"<-{other_entry.reason}",
+                    )
+        return evaluate_graph(graph)
 
 
 def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Construction, str]:

@@ -3,7 +3,10 @@
 A plumbing graph has weighted vertices and signed edges; multi-edges and
 self-loops are allowed, and at most one independent cycle.  The boundary
 3-manifold's first homology is Z^{cycles} plus the cokernel of the
-intersection form.  Cyclic graphs are torus bundles: their monodromy is the
+intersection form.  It is computed on a spanning tree, not on the n x n form:
+eliminating meridians from the leaves inward leaves a G x G matrix, G = 1 +
+the number of leaves (2 for paths and cycles, k for a star with k leaves),
+for the Smith kernel.  Cyclic graphs are torus bundles: their monodromy is the
 product of T^{w_i} S over the cycle, scaled by the product of edge signs.
 """
 
@@ -63,38 +66,70 @@ class PlumbingGraph:
         raise DomainError("missing-vertex", f"no vertex named {name}")
 
     def component_count(self) -> int:
-        seen: set[str] = set()
-        adj = self._adjacency()
-        count = 0
-        for n in self.names:
-            if n in seen:
-                continue
-            count += 1
-            queue = deque([n])
-            seen.add(n)
-            while queue:
-                cur = queue.popleft()
-                for nb in adj[cur]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
-        return count
+        return len(_spanning_forest(self)[2])
 
     @property
     def cycle_count(self) -> int:
         return len(self.edges) - len(self.vertices) + self.component_count()
 
     def is_tree(self) -> bool:
-        return len(self.vertices) > 0 and self.component_count() == 1 and self.cycle_count == 0
+        n = len(self.vertices)
+        return n > 0 and len(self.edges) == n - 1 and self.component_count() == 1
 
-    def _adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {n: [] for n in self.names}
-        for u, v, _ in self.edges:
-            if u == v:
-                continue
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+
+def _adjacency(g: PlumbingGraph) -> dict[str, list[tuple[str, int]]]:
+    """Vertex -> (neighbor, edge index) per incident edge; a self-loop once."""
+    adj: dict[str, list[tuple[str, int]]] = {n: [] for n, _ in g.vertices}
+    for i, (u, v, _) in enumerate(g.edges):
+        adj[u].append((v, i))
+        if u != v:
+            adj[v].append((u, i))
+    return adj
+
+
+def _spanning_forest(g: PlumbingGraph):
+    """One breadth-first spanning tree per component.
+
+    Returns the adjacency, the parent and tree edge of every non-root vertex,
+    and per component ``(order, extra)``: its vertices in discovery order,
+    root first, and the sorted indices of its edges left out of the tree.  A
+    tree is rooted at a leaf where it has one; a component whose cycle passes
+    through two vertices is walked again from an end of its first leftover
+    edge that is not a self-loop, with that edge held out, so it touches the
+    root.
+    """
+    adj = _adjacency(g)
+
+    def walk(root: str, held: int | None):
+        order, parent = [root], {}
+        extra = set() if held is None else {held}
+        for x in order:
+            up = parent[x][1] if x in parent else held
+            for y, i in adj[x]:
+                if i == up or i == held:
+                    continue
+                if y in parent or y == root:
+                    extra.add(i)
+                else:
+                    parent[y] = (x, i)
+                    order.append(y)
+        return order, parent, sorted(extra)
+
+    parent: dict[str, tuple[str, int]] = {}
+    forest = []
+    seen: set[str] = set()
+    starts = [n for n, nbs in adj.items() if len(nbs) <= 1] + [n for n, nbs in adj.items() if len(nbs) > 1]
+    for start in starts:
+        if start in seen:
+            continue
+        order, tree, extra = walk(start, None)
+        ring = next((i for i in extra if g.edges[i][0] != g.edges[i][1]), None)
+        if ring is not None:
+            order, tree, extra = walk(g.edges[ring][0], ring)
+        seen.update(order)
+        parent.update(tree)
+        forest.append((order, extra))
+    return adj, parent, forest
 
 
 def parse_graph(text: str) -> PlumbingGraph:
@@ -136,39 +171,6 @@ def format_graph(g: PlumbingGraph) -> str:
     return "\n".join(lines)
 
 
-def _cycle_edge_indices(g: PlumbingGraph) -> list[int]:
-    """Indices of the edges on the unique cycle (empty for forests).
-
-    Computed by stripping leaves; what survives is the cycle, including the
-    self-loop and double-edge degenerate shapes.
-    """
-    alive_edges = set(range(len(g.edges)))
-    alive_vertices = set(g.names)
-    incident: dict[str, set[int]] = {n: set() for n in g.names}
-    for idx, (u, v, _) in enumerate(g.edges):
-        incident[u].add(idx)
-        incident[v].add(idx)
-
-    def degree(n: str) -> int:
-        total = 0
-        for idx in incident[n]:
-            if idx in alive_edges:
-                u, v, _ = g.edges[idx]
-                total += 2 if u == v else 1
-        return total
-
-    changed = True
-    while changed:
-        changed = False
-        for n in list(alive_vertices):
-            if degree(n) <= 1:
-                alive_vertices.discard(n)
-                for idx in list(incident[n]):
-                    alive_edges.discard(idx)
-                changed = True
-    return sorted(alive_edges)
-
-
 def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     """Flip cycle-edge signs to the normal form: at most one negative edge.
 
@@ -176,7 +178,17 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     product is preserved and the negative edge (if any) lands on the first
     cycle edge in declaration order.
     """
-    cycle = _cycle_edge_indices(g)
+    _, parent, forest = _spanning_forest(g)
+    cycle: list[int] = []
+    for _, extra in forest:
+        if extra:
+            # the leftover edge, then the tree path from its far end up to the root
+            u, x, _ = g.edges[extra[0]]
+            cycle.append(extra[0])
+            while x != u:
+                x, i = parent[x]
+                cycle.append(i)
+    cycle.sort()
     negatives = [i for i in cycle if g.edges[i][2] < 0]
     if len(negatives) <= 1:
         return g
@@ -212,11 +224,45 @@ def intersection_form(g: PlumbingGraph) -> IntMatrix:
 
 
 def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:
-    """First homology of the boundary: coker(Q) plus one Z per cycle."""
-    cycles = g.cycle_count
+    """First homology of the boundary: coker(Q) plus one Z per cycle.
+
+    Q is never built.  The roots of the spanning trees and the childless
+    non-root vertices are the generators.  Children first, every other
+    non-root vertex's meridian is eliminated with the relation of its first
+    child, whose coefficient on it is the tree edge's sign, +1 or -1; the
+    remaining relations form a square matrix over the generators.
+    """
+    adj, parent, forest = _spanning_forest(g)
+    cycles = sum(len(extra) for _, extra in forest)
     if cycles > 1:
         raise DomainError("multi-cycle", "boundary homology needs at most one cycle")
-    coker = abelian_group_of(intersection_form(g))
+    order = [v for component, _ in forest for v in component]
+    first: dict[str, str] = {}
+    for v in order:
+        if v in parent:
+            first.setdefault(parent[v][0], v)
+    gens = [v for v in order if v not in parent or v not in first]
+    expr = {v: [int(v == x) for x in gens] for v in gens}
+    weight = dict(g.vertices)
+
+    def relation(x: str) -> list[int]:
+        # Q's row of x in the generators; while x's parent is being
+        # eliminated it is the one neighbor with no expression yet
+        row = [weight[x] * a for a in expr[x]]
+        for y, i in adj[x]:
+            if y in expr:
+                s = g.edges[i][2] * (2 if y == x else 1)
+                row = [a + s * b for a, b in zip(row, expr[y])]
+        return row
+
+    for v in reversed(order):
+        if v in parent and v in first:
+            c = first[v]
+            expr[v] = [-g.edges[parent[c][1]][2] * a for a in relation(c)]
+    used = {c for v, c in first.items() if v in parent}
+    rows = [relation(x) for x in order if x not in used]
+    k = len(gens)
+    coker = abelian_group_of(IntMatrix(k, k, tuple(a for row in rows for a in row)))
     return AbelianGroupDesc(coker.free_rank + cycles, coker.torsion_factors)
 
 
@@ -225,12 +271,8 @@ def is_pure_cycle(g: PlumbingGraph) -> bool:
     n = len(g.vertices)
     if n == 0 or len(g.edges) != n or g.component_count() != 1:
         return False
-    degree = {name: 0 for name in g.names}
-    for u, v, _ in g.edges:
-        # a self-loop contributes 2 to its vertex
-        degree[u] += 1
-        degree[v] += 1
-    return all(d == 2 for d in degree.values())
+    # a self-loop contributes 2 to its vertex
+    return all(sum(2 if y == x else 1 for y, _ in nbs) == 2 for x, nbs in _adjacency(g).items())
 
 
 def _cycle_vertex_names(n: int) -> list[str]:
@@ -284,22 +326,15 @@ def cycle_traversal(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
     n = len(g.vertices)
     if not is_pure_cycle(g):
         raise DomainError("not-a-cycle", "graph is not a single cycle")
-    adj: dict[str, list[str]] = {name: [] for name in g.names}
-    for u, v, _ in g.edges:
-        if u == v:
-            adj[u].extend([u, u])
-        else:
-            adj[u].append(v)
-            adj[v].append(u)
-
+    adj = _adjacency(g)
     start = min(g.names)
     order = [start]
     if n > 1:
-        prev, cur = start, min(adj[start])
+        prev, cur = start, min(adj[start])[0]
         while cur != start:
             order.append(cur)
             nbs = adj[cur]
-            nxt = nbs[1] if nbs[0] == prev else nbs[0]
+            nxt = nbs[1][0] if nbs[0][0] == prev else nbs[0][0]
             prev, cur = cur, nxt
 
     weights = {name: w for name, w in g.vertices}
@@ -357,30 +392,18 @@ def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGrap
 def _tree_path_edges(g: PlumbingGraph, src: str, dst: str) -> list[int]:
     """Edge indices along the unique tree path from ``src`` to ``dst``,
     ordered starting at ``src``."""
-    adj: dict[str, list[tuple[str, int]]] = {n: [] for n in g.names}
-    for idx, (u, v, _) in enumerate(g.edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    parent: dict[str, tuple[str, int]] = {}
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        if cur == dst:
-            break
-        for nb, idx in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = (cur, idx)
-                queue.append(nb)
-    path: list[int] = []
-    cur = dst
-    while cur != src:
-        prev, idx = parent[cur]
-        path.append(idx)
-        cur = prev
-    path.reverse()
-    return path
+    parent = _spanning_forest(g)[1]
+    up, up_edges, x = [src], [], src
+    while x in parent:
+        x, i = parent[x]
+        up.append(x)
+        up_edges.append(i)
+    depth = {v: k for k, v in enumerate(up)}
+    down_edges, x = [], dst
+    while x not in depth:
+        x, i = parent[x]
+        down_edges.append(i)
+    return up_edges[:depth[x]] + down_edges[::-1]
 
 
 def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
@@ -446,11 +469,7 @@ def check_join_hypotheses(g: PlumbingGraph, v: str) -> JoinHypotheses:
 def canonical_key(g: PlumbingGraph) -> str:
     """Deterministic value key: vertices renamed by a sorted breadth-first
     traversal, then vertices and edges rendered in canonical order."""
-    adj: dict[str, list[str]] = {n: [] for n in g.names}
-    for u, v, _ in g.edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
+    adj = _adjacency(g)
     new_id: dict[str, int] = {}
     for start in sorted(g.names):
         if start in new_id:
@@ -459,7 +478,7 @@ def canonical_key(g: PlumbingGraph) -> str:
         queue = deque([start])
         while queue:
             cur = queue.popleft()
-            for nb in sorted(adj[cur]):
+            for nb in sorted(y for y, _ in adj[cur]):
                 if nb not in new_id:
                     new_id[nb] = len(new_id)
                     queue.append(nb)

@@ -1,6 +1,7 @@
 """Shared test fixtures: independent oracles and exhaustive corpora."""
 
 from itertools import product
+from time import process_time
 
 import pytest
 
@@ -88,3 +89,14 @@ def random_unimodular(rng, n: int, steps: int = 12) -> IntMatrix:
         else:
             rows[i] = [-x for x in rows[i]]
     return IntMatrix.from_rows(rows)
+
+
+def best_cpu_seconds(fn, repeats: int = 3) -> float:
+    """Least CPU time of ``repeats`` calls of ``fn``: a time bound checked on
+    the best run does not fail on a scheduler hiccup."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = process_time()
+        fn()
+        best = min(best, process_time() - start)
+    return best

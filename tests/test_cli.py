@@ -217,6 +217,31 @@ class TestLedgerCommand:
         )
 
 
+    def test_1200_step_build_answers(self, tmp_path):
+        import subprocess
+        import sys
+
+        # every tree is one vertex of weight -1, which does not bound, so
+        # each join consults its left operand all the way down to T0
+        (tmp_path / "unit.graph").write_text("vertex x -1\n")
+        lines = ["tree T0 unit.graph"]
+        for i in range(1, 1201):
+            left = "T0" if i == 1 else f"J{i - 1}"
+            lines += [f"tree T{i} unit.graph", f"join J{i} {left} x T{i} x"]
+        script = tmp_path / "deep.build"
+        script.write_text("\n".join(lines) + "\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "plumbcalc", "ledger", "eval", f"build:{script}"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode in (0, 1)
+        assert "Traceback" not in result.stderr
+        assert result.stdout == (
+            "descriptor=graph:v0:-1201 status=obstructed reason=torsion-not-square(1201)\n"
+        )
+
+
 class TestMatCommands:
     def test_det_and_group(self, capsys, tmp_path):
         path = tmp_path / "m.mat"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from plumbcalc.errors import DomainError
@@ -21,7 +23,7 @@ from plumbcalc.plumbing import (
 )
 from plumbcalc.sl2 import MonodromyWord
 
-from conftest import family_parameter_space
+from conftest import best_cpu_seconds, family_parameter_space
 
 
 def path_graph(weights):
@@ -141,6 +143,96 @@ class TestConstruction:
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
             Construction().evaluate("missing")
+
+
+def seed_path(rng, length):
+    """Weights of a path with continued fraction 0 (boundary S^1 x S^2),
+    grown from (0) by random blow-ups."""
+    w = [0]
+    while len(w) < length:
+        e = rng.randrange(len(w) + 1)
+        if e == len(w):
+            w[-1] -= 1
+            w.append(-1)
+        elif e == 0:
+            w[0] -= 1
+            w.insert(0, -1)
+        else:
+            w[e - 1] -= 1
+            w[e] -= 1
+            w.insert(e, -1)
+    return w
+
+
+def continuant(weights):
+    """Determinant of a path form with positive edges."""
+    prev, cur = 0, 1
+    for w in weights:
+        prev, cur = cur, w * cur - prev
+    return cur
+
+
+class TestDeepJoinChain:
+    """T_0..T_200 are seed paths; J_i joins J_{i-1} at its last vertex to
+    T_i at its first, so every J_i is a path and continuants decide each
+    verdict: a transfer through J_{i-1} needs det J_{i-1} = 0 and a
+    nonsingular J_{i-1} minus its end; a transfer through T_i needs a
+    bounding J_{i-1} and a nonsingular T_i minus its start; otherwise J_i's
+    own homology Z/|det| decides."""
+
+    STEPS = 200
+    BASE = "s1xs2-base(homology-level)"
+
+    def chain(self, seed):
+        rng = random.Random(seed)
+        seeds = [seed_path(rng, rng.randint(3, 4)) for _ in range(self.STEPS + 1)]
+        build = Construction()
+        for i, w in enumerate(seeds):
+            names = [f"T{i}_{j}" for j in range(len(w))]
+            build.add_tree(f"T{i}", PlumbingGraph(
+                tuple(zip(names, w)),
+                tuple((names[j], names[j + 1], 1) for j in range(len(w) - 1)),
+            ))
+        for i in range(1, self.STEPS + 1):
+            left = "T0" if i == 1 else f"J{i - 1}"
+            build.add_join(f"J{i}", left, f"T{i - 1}_{len(seeds[i - 1]) - 1}", f"T{i}", f"T{i}_0")
+        return build, seeds
+
+    def oracle(self, seeds):
+        """(status, reason) of J_1..J_steps from continuants alone."""
+        joined, entry, out = list(seeds[0]), (STATUS_BOUNDS, self.BASE), []
+        for i in range(1, len(seeds)):
+            left = "T0" if i == 1 else f"J{i - 1}"
+            new = None
+            if continuant(joined) == 0 and continuant(joined[:-1]) != 0:
+                new = (STATUS_BOUNDS, f"join-transfer({left}-hypotheses;homology-level)<-{self.BASE}")
+            elif entry[0] == STATUS_BOUNDS and continuant(seeds[i][1:]) != 0:
+                new = (STATUS_BOUNDS, f"join-transfer(T{i}-hypotheses;homology-level)<-{entry[1]}")
+            joined[-1] += seeds[i][0]
+            joined += seeds[i][1:]
+            d = abs(continuant(joined))
+            if new is None and d == 0:
+                new = (STATUS_BOUNDS, self.BASE)
+            elif new is None:
+                new = (
+                    (STATUS_UNKNOWN, f"square-condition-holds({d});no-certificate")
+                    if is_perfect_square(d)
+                    else (STATUS_OBSTRUCTED, f"torsion-not-square({d})")
+                )
+            entry = new
+            out.append(entry)
+        return out
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_every_level_matches_continuants(self, seed):
+        build, seeds = self.chain(seed)
+        got = [build.evaluate(f"J{i}") for i in range(1, self.STEPS + 1)]
+        assert [(e.status, e.reason) for e in got] == self.oracle(seeds)
+
+    def test_top_under_50ms(self):
+        build, _ = self.chain(7)
+        top = f"J{self.STEPS}"
+        assert best_cpu_seconds(lambda: build.evaluate(top)) < 0.05
 
 
 class TestMutualExclusivity:

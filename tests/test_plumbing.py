@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbcalc.errors import DomainError
 from plumbcalc.intmat import AbelianGroupDesc, IntMatrix, abelian_group_of, det
@@ -17,7 +21,7 @@ from plumbcalc.plumbing import (
 )
 from plumbcalc.sl2 import MonodromyWord, SL2Element, word_to_matrix
 
-from conftest import hyperbolic_strings
+from conftest import best_cpu_seconds, hyperbolic_strings
 
 
 def path_graph(weights, names=None):
@@ -53,6 +57,21 @@ class TestParse:
         with pytest.raises(DomainError) as err:
             parse_graph(text)
         assert err.value.code == "multi-cycle"
+
+    def test_3000_vertex_path_and_cycle(self):
+        n = 3000
+        # 1000 negative edges on the path, 1001 on the cycle: an odd product
+        path = "\n".join(
+            [f"vertex p{i} -2" for i in range(n)]
+            + [f"edge p{i} p{i + 1} {'-' if i % 3 == 0 else '+'}" for i in range(n - 1)]
+        )
+        cycle = path + f"\nedge p{n - 1} p0 -"
+        g = parse_graph(path)
+        assert sum(s < 0 for _, _, s in g.edges) == 1000
+        g = parse_graph(cycle)
+        assert [s for _, _, s in g.edges] == [-1] + [1] * (n - 1)
+        assert best_cpu_seconds(lambda: parse_graph(path), 1) < 0.25
+        assert best_cpu_seconds(lambda: parse_graph(cycle), 1) < 0.25
 
     def test_dangling_edge(self):
         with pytest.raises(DomainError) as err:
@@ -137,6 +156,77 @@ class TestBoundaryHomology:
     def test_negative_three_cycle(self):
         g = cycle_plumbing_from_word(MonodromyWord((2, 2, 2), -1))
         assert boundary_homology(g) == AbelianGroupDesc(1, (4,))
+
+
+def dense_homology(g):
+    """Oracle: the cokernel of the dense n x n intersection form, plus one Z
+    per cycle."""
+    coker = abelian_group_of(intersection_form(g))
+    return AbelianGroupDesc(coker.free_rank + g.cycle_count, coker.torsion_factors)
+
+
+@st.composite
+def plumbings(draw, min_extra=0, max_extra=1):
+    """Forests of 1 to 3 components with weights in -6..6, plus extra edges
+    inside components, each closing one cycle: a chord, a second copy of a
+    tree edge, or a self-loop.  Declaration orders and edge directions are
+    shuffled, since they decide where the spanning trees are rooted."""
+    signs = st.sampled_from((1, -1))
+    components, vertices, edges = [], [], []
+    for c in range(draw(st.integers(1, 3))):
+        names = [f"c{c}v{i}" for i in range(draw(st.integers(1, 8)))]
+        components.append(names)
+        vertices += [(name, draw(st.integers(-6, 6))) for name in names]
+        edges += [(names[draw(st.integers(0, i - 1))], names[i], draw(signs))
+                  for i in range(1, len(names))]
+    for _ in range(draw(st.integers(min_extra, max_extra))):
+        names = draw(st.sampled_from(components))
+        kind = draw(st.sampled_from(("chord", "double", "loop")))
+        tree_edges = [e for e in edges if e[0] in names and e[0] != e[1]]
+        if kind == "double" and tree_edges:
+            u, v, _ = draw(st.sampled_from(tree_edges))
+        elif kind == "chord":
+            u, v = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        else:
+            u = v = draw(st.sampled_from(names))
+        edges.append((u, v, draw(signs)))
+    edges = [(v, u, s) if draw(st.booleans()) else (u, v, s) for u, v, s in edges]
+    return PlumbingGraph(
+        tuple(draw(st.permutations(vertices))), tuple(draw(st.permutations(edges)))
+    )
+
+
+class TestGraphNativeHomology:
+    """boundary_homology eliminates along spanning trees; the dense
+    intersection form is the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(plumbings())
+    def test_matches_dense_form(self, g):
+        assert boundary_homology(g) == dense_homology(g)
+
+    def test_empty_complement_of_one_vertex_tree(self):
+        empty = PlumbingGraph((), ())
+        assert boundary_homology(empty) == dense_homology(empty) == AbelianGroupDesc(0, ())
+        assert check_join_hypotheses(PlumbingGraph((("v", 3),), ()), "v").complement_is_qs3
+
+    @settings(max_examples=100, deadline=None)
+    @given(plumbings(min_extra=2, max_extra=3))
+    def test_two_cycles_rejected(self, g):
+        with pytest.raises(DomainError) as err:
+            boundary_homology(g)
+        assert err.value.code == "multi-cycle"
+
+    def test_400_cycle_under_50ms(self):
+        rng = random.Random(400)
+        w = MonodromyWord(tuple(rng.choice((2, 3, 4)) for _ in range(400)))
+        g = cycle_plumbing_from_word(w)
+        # a torus bundle: H_1 = Z + coker(A - I), A the monodromy
+        m = word_to_matrix(w)
+        a_minus_i = IntMatrix.from_rows([[m.a - 1, m.b], [m.c, m.d - 1]])
+        expected = abelian_group_of(a_minus_i)
+        assert boundary_homology(g) == AbelianGroupDesc(1 + expected.free_rank, expected.torsion_factors)
+        assert best_cpu_seconds(lambda: boundary_homology(g)) < 0.05
 
 
 class TestCycleFromWord:
