@@ -113,7 +113,7 @@ def _cmd_kirby_run(args) -> list[str]:
     final, witness = kirby.run_script(chain, _read(args.script).splitlines())
     conjugated = witness @ kirby.chain_monodromy(final) @ witness.inverse()
     return [
-        f"framings={','.join(str(f) for f in final.framings)}",
+        f"framings={strings.format_int_string(final.framings)}",
         f"eps={'+' if final.eps > 0 else '-'}",
         f"monodromy={_matrix_inline(kirby.chain_monodromy(final))}",
         f"certified={_yes_no(conjugated == start_monodromy)}",
@@ -124,7 +124,7 @@ def _cmd_kirby_dualize(args) -> list[str]:
     b = strings.parse_int_string(args.string)
     result = kirby.dualize_procedure(b)
     return [
-        f"framings={','.join(str(f) for f in result.terminal.framings)}",
+        f"framings={strings.format_int_string(result.terminal.framings)}",
         f"eps={'+' if result.terminal.eps > 0 else '-'}",
         f"blowups={result.blow_ups}",
         f"blowdowns={result.blow_downs}",
@@ -139,11 +139,7 @@ def _cmd_obstruct_square(args) -> list[str]:
 def _cmd_obstruct_attach(args) -> list[str]:
     linking = intmat.parse_matrix_text(_read(args.matrix))
     p = obstruct.SurgeryPresentation(linking)
-    try:
-        kappa = tuple(int(t) for t in args.kappa.split(","))
-    except ValueError as exc:
-        raise DomainError("kappa-syntax", f"bad kappa: {exc}") from exc
-    k = obstruct.KnotClass(kappa, args.framing)
+    k = obstruct.KnotClass(sl2._parse_list(args.kappa, "kappa-syntax"), args.framing)
     new_p, homology = obstruct.attach_two_handle(p, k)
     return [
         f"bordered={intmat.inline_matrix(new_p.linking)}",

@@ -16,8 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, DomainError
-from .sl2 import SL2Element
-from .strings import family_string, recognize_family, split_relabel
+from .sl2 import (
+    MonodromyWord,
+    SL2Element,
+    _format_list,
+    _parse_list,
+    rotation_equivalent,
+    word_to_matrix,
+)
+from .strings import _split_family
 
 __all__ = [
     "ChainState",
@@ -49,17 +56,27 @@ class ChainState:
         object.__setattr__(self, "framings", tuple(int(f) for f in self.framings))
 
 
-def _factor(f: int) -> SL2Element:
-    # T^{f} S = [[-f, 1], [-1, 0]]
-    return SL2Element(-f, 1, -1, 0)
+def _word(framings, eps: int = 1) -> MonodromyWord:
+    # T^{f} S is the word factor T^{-a} S with a = -f
+    return MonodromyWord(tuple(-f for f in framings), eps)
 
 
 def chain_monodromy(c: ChainState) -> SL2Element:
     """``eps * T^{f_1} S ... T^{f_n} S``, exact."""
-    m = SL2Element.identity()
-    for f in c.framings:
-        m = m @ _factor(f)
-    return -m if c.eps < 0 else m
+    return word_to_matrix(_word(c.framings, c.eps))
+
+
+def _blow(fr: list[int], i: int, e: int, up: bool) -> None:
+    """The blow move on a framing list, in place: insert (``up``) or remove
+    the framing-``e`` component at index ``i``; its two neighbours change by
+    +e or -e.  Either way eps flips exactly when e = +1.  Callers validate."""
+    if up:
+        fr.insert(i, e)
+    step = e if up else -e
+    fr[i - 1] += step
+    fr[i + 1] += step
+    if not up:
+        del fr[i]
 
 
 def blow_down(c: ChainState, i: int) -> ChainState:
@@ -83,11 +100,8 @@ def blow_down(c: ChainState, i: int) -> ChainState:
     if f not in (1, -1):
         raise DomainError("framing-not-unit", f"component {i} has framing {f}, need +-1")
     fr = list(c.framings)
-    fr[i - 1] -= f
-    fr[i + 1] -= f
-    del fr[i]
-    eps = -c.eps if f == 1 else c.eps
-    return ChainState(tuple(fr), eps)
+    _blow(fr, i, f, up=False)
+    return ChainState(tuple(fr), -c.eps if f == 1 else c.eps)
 
 
 def blow_up(c: ChainState, edge: int, e: int) -> ChainState:
@@ -104,36 +118,39 @@ def blow_up(c: ChainState, edge: int, e: int) -> ChainState:
             f"edge {edge} is the cut or out of range; rotate the chain first",
         )
     fr = list(c.framings)
-    fr[edge] += e
-    fr[edge + 1] += e
-    fr.insert(edge + 1, e)
-    eps = -c.eps if e == 1 else c.eps
-    return ChainState(tuple(fr), eps)
+    _blow(fr, edge + 1, e, up=True)
+    return ChainState(tuple(fr), -c.eps if e == 1 else c.eps)
+
+
+def _cut(fr: list[int], r: int) -> SL2Element:
+    """Rotate a framing list in place to start at position ``r`` (0 <= r < n)
+    and return the conjugator of :func:`rotate`, built from the shorter side:
+    the prefix product P when 2r <= n, else the inverse of the suffix
+    product Q.  Both conjugate eps*P*Q into eps*Q*P."""
+    if 2 * r <= len(fr):
+        conj = word_to_matrix(_word(fr[:r]))
+    else:
+        conj = word_to_matrix(_word(fr[r:])).inverse()
+    fr[:] = fr[r:] + fr[:r]
+    return conj
 
 
 def rotate(c: ChainState, r: int) -> tuple[ChainState, SL2Element]:
     """Move the cut: the new list starts at position ``r``.
 
-    Returns the rotated state and the conjugator ``C`` (the product of the
-    rotated-away prefix factors) with
-    ``chain_monodromy(new) == C^-1 @ chain_monodromy(old) @ C`` exactly.
+    Returns the rotated state and a conjugator ``C`` with
+    ``chain_monodromy(new) == C^-1 @ chain_monodromy(old) @ C`` exactly:
+    the product of the rotated-away prefix factors when ``2r <= n``, else
+    the inverse product of the other factors, whichever is shorter.
     """
-    n = len(c.framings)
-    r %= n
-    if r == 0:
-        return c, SL2Element.identity()
-    conj = SL2Element.identity()
-    for f in c.framings[:r]:
-        conj = conj @ _factor(f)
-    return ChainState(c.framings[r:] + c.framings[:r], c.eps), conj
+    fr = list(c.framings)
+    conj = _cut(fr, r % len(fr))
+    return ChainState(tuple(fr), c.eps), conj
 
 
 def chains_rotation_equal(a: ChainState, b: ChainState) -> bool:
     """Rotation-insensitive comparison (same eps, framings up to rotation)."""
-    if a.eps != b.eps or len(a.framings) != len(b.framings):
-        return False
-    fa, fb = a.framings, b.framings
-    return any(fa[r:] + fa[:r] == fb for r in range(len(fa)))
+    return a.eps == b.eps and rotation_equivalent(a.framings, b.framings)
 
 
 @dataclass(frozen=True)
@@ -165,46 +182,30 @@ def dualize_procedure(a) -> DualizeResult:
     conjugator, so the terminal state carries an exact certificate.
     """
     a = tuple(a)
-    params = recognize_family(a)
-    if params is None:
-        raise DomainError("not-in-family", f"{a} is not a family string")
-    d, e = split_relabel(a)  # raises special-case for (3)
+    offset, d, e = _split_family(a)  # raises not-in-family, special-case for (3)
 
-    canonical = family_string(params)
-    offset = next(
-        r for r in range(len(a)) if a[r:] + a[:r] == canonical
-    )
-
-    start = ChainState(tuple(-x for x in a), 1)
-    state = start
-    witness = SL2Element.identity()
+    fr = [-x for x in a]
+    eps = 1
     ups = downs = 0
-
-    def rotate_tracked(st: ChainState, r: int) -> ChainState:
-        nonlocal witness
-        st, conj = rotate(st, r)
-        witness = witness @ conj
-        return st
-
-    # align to canonical block order, then park the e-block tail at index 0
-    state = rotate_tracked(state, offset)
-    state = rotate_tracked(state, len(state.framings) - 1)
+    # align to canonical block order and park the e-block tail at index 0
+    witness = _cut(fr, (offset - 1) % len(fr))
 
     remaining = len(e)
     while remaining:
         # +1 blowup between the e-tail (index 0) and the head it feeds
-        state = blow_up(state, 0, 1)
+        _blow(fr, 1, 1, up=True)
+        eps = -eps
         ups += 1
-        while remaining and state.framings[0] == -1:
-            state = rotate_tracked(state, len(state.framings) - 1)
-            state = blow_down(state, 1)
+        while remaining and fr[0] == -1:
+            # move the -1 to index 1 (rotate by n-1) and blow it down
+            witness = witness @ _cut(fr, len(fr) - 1)
+            _blow(fr, 1, -1, up=False)
             downs += 1
             remaining -= 1
 
-    result = DualizeResult(start, state, witness, ups, downs)
-    target = tuple(-x for x in d) + d
-    fr = result.terminal.framings
-    if not any(fr[r:] + fr[:r] == target for r in range(len(fr))):
+    start = ChainState(tuple(-x for x in a), 1)
+    result = DualizeResult(start, ChainState(tuple(fr), eps), witness, ups, downs)
+    if not rotation_equivalent(fr, tuple(-x for x in d) + d):
         raise ContractError("contract-two-block", f"dualization of {a} missed the two-block form")
     if not result.certified():
         raise ContractError("contract-certificate", f"dualization of {a} failed its certificate")
@@ -224,16 +225,11 @@ def parse_chain(text: str) -> ChainState:
                 raise DomainError("chain-syntax", f"bad sign field {parts[2]!r}")
             eps = 1 if parts[2] == "sign=+" else -1
         text = parts[1]
-    try:
-        framings = tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise DomainError("chain-syntax", f"bad framing: {exc}") from exc
-    return ChainState(framings, eps)
+    return ChainState(_parse_list(text, "chain-syntax"), eps)
 
 
 def format_chain(c: ChainState) -> str:
-    body = ",".join(str(f) for f in c.framings)
-    return f"chain {body} sign={'+' if c.eps > 0 else '-'}"
+    return f"chain {_format_list(c.framings)} sign={'+' if c.eps > 0 else '-'}"
 
 
 def run_script(c: ChainState, lines) -> tuple[ChainState, SL2Element]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .intmat import AbelianGroupDesc, IntMatrix, abelian_group_of
-from .sl2 import MonodromyWord, SL2Element
+from .sl2 import MonodromyWord, SL2Element, word_to_matrix
 
 __all__ = [
     "PlumbingGraph",
@@ -348,10 +348,7 @@ def cycle_monodromy(g: PlumbingGraph) -> tuple[SL2Element, int]:
     """Monodromy of a pure cycle graph: the product of T^{w_i} S over the
     cycle traversal, with the product of edge signs reported separately."""
     weights, sign = cycle_traversal(g)
-    m = SL2Element.identity()
-    for w in weights:
-        m = m @ SL2Element(-w, 1, -1, 0)
-    return m, sign
+    return word_to_matrix(MonodromyWord(tuple(-w for w in weights))), sign
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:

@@ -74,10 +74,6 @@ class SL2Element:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
-T = SL2Element(1, 1, 0, 1)
-S = SL2Element(0, 1, -1, 0)
-
-
 @dataclass(frozen=True)
 class MonodromyWord:
     """Word (a_1, ..., a_n) plus gluing sign; empty word encodes sign * I."""
@@ -91,16 +87,16 @@ class MonodromyWord:
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
 
-def _factor(a: int) -> SL2Element:
-    # T^{-a} S = [[a, 1], [-1, 0]]
-    return SL2Element(a, 1, -1, 0)
-
-
 def word_to_matrix(w: MonodromyWord) -> SL2Element:
-    """Evaluate ``sign * T^{-a_1} S ... T^{-a_n} S`` exactly."""
-    m = SL2Element.identity()
-    for a in w.coeffs:
-        m = m @ _factor(a)
+    """Evaluate ``sign * T^{-a_1} S ... T^{-a_n} S`` exactly.
+
+    The one ``T^k S`` product of the package: chains, cut conjugators and
+    cycle graphs evaluate through it."""
+    a, b, c, d = 1, 0, 0, 1
+    for x in w.coeffs:
+        # right factor T^{-x} S = [[x, 1], [-1, 0]]
+        a, b, c, d = a * x - b, a, c * x - d, c
+    m = SL2Element(a, b, c, d)
     return -m if w.sign < 0 else m
 
 
@@ -159,14 +155,28 @@ def square_trace_check(m: SL2Element) -> tuple[int, bool]:
     return value, is_perfect_square(value)
 
 
-def rotation_equivalent(a, b) -> bool:
-    """True iff ``b`` is a cyclic rotation of ``a`` (conjugate words)."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    return any(a[r:] + a[:r] == b for r in range(len(a)))
+def _least_rotation(s: tuple) -> int:
+    """Start index of the lexicographically least rotation of nonempty ``s``.
+
+    Booth's algorithm (Inf. Process. Lett. 10(4), 1980): a Knuth-Morris-Pratt
+    failure function over the doubled word, O(n) comparisons."""
+    ss = s + s
+    fail = [-1] * len(ss)
+    k = 0
+    for j in range(1, len(ss)):
+        x = ss[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != ss[k + i + 1]:
+            if x < ss[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != ss[k + i + 1]:  # here i == -1
+            if x < ss[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def lex_min_rotation(seq) -> tuple:
@@ -174,7 +184,26 @@ def lex_min_rotation(seq) -> tuple:
     s = tuple(seq)
     if not s:
         return s
-    return min(s[r:] + s[:r] for r in range(len(s)))
+    k = _least_rotation(s)
+    return s[k:] + s[:k]
+
+
+def rotation_equivalent(a, b) -> bool:
+    """True iff ``b`` is a cyclic rotation of ``a`` (conjugate words)."""
+    a, b = tuple(a), tuple(b)
+    return len(a) == len(b) and lex_min_rotation(a) == lex_min_rotation(b)
+
+
+def _parse_list(text: str, code: str) -> tuple[int, ...]:
+    """Parse the comma list ``3,2,2``; a bad entry fails with ``code``."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError as exc:
+        raise DomainError(code, f"bad entry: {exc}") from exc
+
+
+def _format_list(xs) -> str:
+    return ",".join(str(x) for x in xs)
 
 
 def parse_word(text: str) -> MonodromyWord:
@@ -187,15 +216,9 @@ def parse_word(text: str) -> MonodromyWord:
         text = text[2:]
     elif text.startswith("+:"):
         text = text[2:]
-    if not text:
-        return MonodromyWord((), sign)
-    try:
-        coeffs = tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise DomainError("word-syntax", f"bad word coefficient: {exc}") from exc
-    return MonodromyWord(coeffs, sign)
+    return MonodromyWord(_parse_list(text, "word-syntax") if text else (), sign)
 
 
 def format_word(w: MonodromyWord) -> str:
-    body = ",".join(str(c) for c in w.coeffs)
+    body = _format_list(w.coeffs)
     return f"-:{body}" if w.sign < 0 else body

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, DomainError
+from .sl2 import _format_list, _parse_list
 
 __all__ = [
     "FamilyParams",
@@ -45,6 +46,14 @@ class FamilyParams:
             )
         if any(x < 0 for x in self.xs):
             raise DomainError("bad-family-params", "x_i must be nonnegative")
+
+
+_MAX_ENTRIES = 10**6  # longest string that dual_string and family_string build
+
+
+def _check_size(entries: int) -> None:
+    if entries > _MAX_ENTRIES:
+        raise DomainError("too-large", f"output of {entries} entries exceeds {_MAX_ENTRIES}")
 
 
 def _check_dual_input(b: tuple[int, ...]) -> None:
@@ -79,19 +88,13 @@ def dual_string(b) -> tuple[int, ...]:
     if all(x == 2 for x in b):
         return (len(b) + 1,)
 
-    runs: list[int] = []   # lengths of the 2-runs, s+1 of them
-    bigs: list[int] = []   # excess over 3 of each entry >= 3
-    current = 0
-    for x in b:
-        if x == 2:
-            current += 1
-        else:
-            runs.append(current)
-            bigs.append(x - 3)
-            current = 0
-    runs.append(current)
+    starts = [r for r, x in enumerate(b) if x >= 3]
+    bigs = [b[r] - 3 for r in starts]  # excess over 3 of each entry >= 3
+    bounds = [-1, *starts, len(b)]
+    runs = [t - r - 1 for r, t in zip(bounds, bounds[1:])]  # the s+1 runs of 2's
 
     s = len(bigs)
+    _check_size(s + 1 + sum(bigs))
     out = [runs[0] + 2]
     for t in range(s):
         out.extend([2] * bigs[t])
@@ -107,25 +110,48 @@ def dual_string(b) -> tuple[int, ...]:
     return result
 
 
-def _cyclic_index(i: int, n: int) -> int:
-    """Map a residue to the 1-based index range 1..n."""
-    r = i % n
-    return r if r else n
-
-
 def family_string(p: FamilyParams) -> tuple[int, ...]:
     """The family string for parameters (k; x): blocks (3+x_i, 2^[x_{i+1}])
     visited in the order i = 1, 3, ..., 2k+1, 2, 4, ..., 2k with indices
     cyclic mod 2k+1."""
     n = 2 * p.k + 1
     xs = p.xs
+    _check_size(n + sum(xs))
     out: list[int] = []
     for j in range(n):
-        i = _cyclic_index(1 + 2 * j, n)
-        succ = _cyclic_index(i + 1, n)
-        out.append(3 + xs[i - 1])
-        out.extend([2] * xs[succ - 1])
+        i = 2 * j % n  # 0-based index of x_{1+2j}
+        out.append(3 + xs[i])
+        out.extend([2] * xs[(i + 1) % n])
     return tuple(out)
+
+
+def _family_parse(a: tuple[int, ...]) -> tuple[FamilyParams, int] | None:
+    """Parameters of the family string that is a rotation of ``a``, with the
+    offset r of that rotation (``family_string(p) == a[r:] + a[:r]``).
+
+    Only the first rotation that starts at an entry >= 3 is parsed.  Cut it
+    into blocks B_0, ..., B_{n-1}, each an entry >= 3 and the run of 2's
+    after it.  Block j must carry x_{1+2j} as head(B_j) - 3 and x_{2+2j} as
+    run(B_j), indices mod n = 2k+1.  Since 2(k+1) = 1 mod n, the index 1+2j
+    is also 2+2(j-k-1), so the parse is consistent iff
+    head(B_j) - 3 = run(B_{j-k-1}) for every j mod n.  That condition is
+    invariant under shifting j, i.e. under starting at another entry >= 3:
+    either every such rotation parses or none does, and the first one is
+    the smallest rotation index that parses.
+    """
+    if not a or any(x < 2 for x in a):
+        return None
+    starts = [r for r, x in enumerate(a) if x >= 3]
+    n = len(starts)
+    if n % 2 == 0:
+        return None
+    k = (n - 1) // 2
+    heads = [a[r] - 3 for r in starts]
+    runs = [t - r - 1 for r, t in zip(starts, starts[1:] + [starts[0] + len(a)])]
+    if any(heads[j] != runs[(j - k - 1) % n] for j in range(n)):
+        return None
+    # x_{1+i} sits in block j with 2j = i mod n, i.e. j = (k+1)i mod n
+    return FamilyParams(k, tuple(heads[(k + 1) * i % n] for i in range(n))), starts[0]
 
 
 def recognize_family(a) -> FamilyParams | None:
@@ -137,40 +163,30 @@ def recognize_family(a) -> FamilyParams | None:
     generator round-trips exactly: ``recognize_family(family_string(p)) == p``.
     (k is forced either way: the string has exactly 2k+1 entries >= 3.)
     """
-    a = tuple(a)
-    if not a or any(x < 2 for x in a):
-        return None
-    big_count = sum(1 for x in a if x >= 3)
-    if big_count == 0 or big_count % 2 == 0:
-        return None
-    n = big_count
-    k = (n - 1) // 2
+    parsed = _family_parse(tuple(a))
+    return parsed[0] if parsed else None
 
-    for r in range(len(a)):
-        if a[r] < 3:
-            continue
-        rot = a[r:] + a[:r]
-        # split into blocks: an entry >= 3 followed by its run of 2's
-        blocks: list[tuple[int, int]] = []
-        idx = 0
-        while idx < len(rot):
-            head = rot[idx] - 3
-            idx += 1
-            run = 0
-            while idx < len(rot) and rot[idx] == 2:
-                run += 1
-                idx += 1
-            blocks.append((head, run))
-        # block j carries x at index (1+2j) and the run length of its successor
-        heads: dict[int, int] = {}
-        run_lengths: dict[int, int] = {}
-        for j, (head, run) in enumerate(blocks):
-            i = _cyclic_index(1 + 2 * j, n)
-            heads[i] = head
-            run_lengths[_cyclic_index(i + 1, n)] = run
-        if all(heads[i] == run_lengths[i] for i in range(1, n + 1)):
-            return FamilyParams(k, tuple(heads[i] for i in range(1, n + 1)))
-    return None
+
+def _split_family(a: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The offset of the family rotation of ``a`` (see :func:`_family_parse`)
+    and the two dual segments of :func:`split_relabel`."""
+    parsed = _family_parse(a)
+    if parsed is None:
+        raise DomainError("not-in-family", f"{a} is not a family string")
+    params, offset = parsed
+    k, xs = params.k, params.xs
+    if k == 0 and xs == (0,):
+        raise DomainError("special-case", "the string (3) is handled separately")
+    # the first segment ends at the head of block k, 3 + x_{2k+1}
+    s = family_string(params)
+    cut = k + 1 + sum(xs[1:2 * k:2])
+    d = list(s[:cut])
+    d[0] -= 1
+    d[-1] -= 1  # a single entry takes both decrements
+    d, e = tuple(d), s[cut:]
+    if dual_string(d) != e:
+        raise ContractError("contract-family-split", f"segments of {a} failed the duality contract")
+    return offset, d, e
 
 
 def split_relabel(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -182,37 +198,7 @@ def split_relabel(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ``dual_string(d) == e``.  The string (3) is rejected: it has no second
     segment to split off.
     """
-    a = tuple(a)
-    params = recognize_family(a)
-    if params is None:
-        raise DomainError("not-in-family", f"{a} is not a family string")
-    k, xs = params.k, params.xs
-    if k == 0 and xs == (0,):
-        raise DomainError("special-case", "the string (3) is handled separately")
-    n = 2 * k + 1
-
-    first: list[int] = []
-    for j in range(k):
-        i = _cyclic_index(1 + 2 * j, n)
-        succ = _cyclic_index(i + 1, n)
-        first.append(3 + xs[i - 1])
-        first.extend([2] * xs[succ - 1])
-    first.append(3 + xs[n - 1])
-
-    second: list[int] = [2] * xs[0]
-    for j in range(k + 1, n):
-        i = _cyclic_index(1 + 2 * j, n)
-        succ = _cyclic_index(i + 1, n)
-        second.append(3 + xs[i - 1])
-        second.extend([2] * xs[succ - 1])
-
-    if len(first) == 1:
-        d = (first[0] - 2,)
-    else:
-        d = (first[0] - 1, *first[1:-1], first[-1] - 1)
-    e = tuple(second)
-    if dual_string(d) != e:
-        raise ContractError("contract-family-split", f"segments of {a} failed the duality contract")
+    _, d, e = _split_family(tuple(a))
     return d, e
 
 
@@ -221,14 +207,11 @@ def parse_int_string(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         raise DomainError("string-syntax", "empty string")
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise DomainError("string-syntax", f"bad entry: {exc}") from exc
+    return _parse_list(text, "string-syntax")
 
 
 def format_int_string(s) -> str:
-    return ",".join(str(x) for x in s)
+    return _format_list(s)
 
 
 def parse_family_params(text: str) -> FamilyParams:
@@ -240,7 +223,7 @@ def parse_family_params(text: str) -> FamilyParams:
         raise DomainError("family-syntax", "expected k=<int>;x=<comma list>")
     try:
         k = int(parts["k"])
-        xs = tuple(int(t) for t in parts["x"].split(",")) if parts["x"] else ()
     except ValueError as exc:
         raise DomainError("family-syntax", f"bad value: {exc}") from exc
+    xs = _parse_list(parts["x"], "family-syntax") if parts["x"] else ()
     return FamilyParams(k, xs)

@@ -100,3 +100,49 @@ def best_cpu_seconds(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, process_time() - start)
     return best
+
+
+def reference_recognize_family(a):
+    """Reference family recognizer: tries every rotation that starts at an
+    entry >= 3 and returns the parameters of the first consistent parse.
+    O(n^2); the library parses one rotation only."""
+    from plumbcalc.strings import FamilyParams
+
+    a = tuple(a)
+    if not a or any(x < 2 for x in a):
+        return None
+    n = sum(1 for x in a if x >= 3)
+    if n % 2 == 0:
+        return None
+
+    def cyclic(i):  # residue -> 1-based index 1..n
+        return i % n or n
+
+    for r in range(len(a)):
+        if a[r] < 3:
+            continue
+        rot = a[r:] + a[:r]
+        blocks = []  # (head - 3, run of 2's after it)
+        idx = 0
+        while idx < len(rot):
+            head = rot[idx] - 3
+            idx += 1
+            run = 0
+            while idx < len(rot) and rot[idx] == 2:
+                run += 1
+                idx += 1
+            blocks.append((head, run))
+        heads, runs = {}, {}
+        for j, (head, run) in enumerate(blocks):
+            i = cyclic(1 + 2 * j)
+            heads[i] = head
+            runs[cyclic(i + 1)] = run
+        if all(heads[i] == runs[i] for i in range(1, n + 1)):
+            return FamilyParams((n - 1) // 2, tuple(heads[i] for i in range(1, n + 1)))
+    return None
+
+
+def brute_lex_min_rotation(s):
+    """Least rotation by comparing all of them: the oracle for Booth's kernel."""
+    s = tuple(s)
+    return min((s[r:] + s[:r] for r in range(len(s))), default=s)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from plumbcalc.cli import build_parser, main
@@ -322,3 +325,79 @@ class TestDenseRegressions:
         assert lines[0].startswith("bordered=-2,4,-3,1,-5,3,-2,5,-4,3,2;")
         assert lines[0].endswith(";2,-2,2,-2,0,-2,0,0,0,2,1")
         assert lines[1:3] == ["det=4", "homology=Z/4"]
+
+
+GOLDEN_LONG = json.loads((Path(__file__).parent / "golden_long.json").read_text())
+
+
+class TestLongGoldens:
+    """Outputs on long inputs, recorded before the cyclic-word kernels were
+    shared; ``{script}`` in argv stands for a file holding ``script``."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_LONG, ids=[f"{i}-{'-'.join(c['argv'][:2])}" for i, c in enumerate(GOLDEN_LONG)]
+    )
+    def test_byte_identical(self, capsys, tmp_path, case):
+        argv = list(case["argv"])
+        if "script" in case:
+            path = tmp_path / "moves.txt"
+            path.write_text(case["script"])
+            argv = [str(path) if a == "{script}" else a for a in argv]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == case["exit"]
+        assert out == case["stdout"]
+
+    def test_goldens_cover_long_inputs(self):
+        dualized = [c["argv"][2] for c in GOLDEN_LONG if c["argv"][:2] == ["kirby", "dualize"]]
+        assert {44, 176} <= {len(s.split(",")) for s in dualized}
+        run = next(c for c in GOLDEN_LONG if "script" in c)
+        n = len(run["argv"][2].split()[1].split(","))
+        rotations = [int(line.split()[1]) for line in run["script"].splitlines() if "rotate" in line]
+        assert any(r > n // 2 for r in rotations)
+
+
+class TestTooLarge:
+    """Commands whose output would pass the entry cap fail before building it."""
+
+    def test_dual(self, capsys):
+        assert invoke(capsys, "dual", "1000000000")[:2] == (1, "error=too-large\n")
+
+    def test_family_gen(self, capsys):
+        assert invoke(capsys, "family", "gen", "k=0;x=1000000000")[:2] == (1, "error=too-large\n")
+
+    def test_kirby_dualize_of_one_huge_entry(self, capsys):
+        # a single entry 3+x needs a run of x 2's to be a family string, so
+        # this is rejected from its parse and nothing long is built
+        assert invoke(capsys, "kirby", "dualize", "1000000003")[:2] == (1, "error=not-in-family\n")
+
+
+class TestListSyntaxCodes:
+    """Every comma-list argument keeps its own error code."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["mono", "3,x"], "word-syntax"),
+            (["mono", "3,,2"], "word-syntax"),
+            (["dual", "3,,2"], "string-syntax"),
+            (["dual", " "], "string-syntax"),
+            (["family", "check", "3;3"], "string-syntax"),
+            (["family", "gen", "k=0;x=a"], "family-syntax"),
+            (["family", "gen", "k=z;x=1"], "family-syntax"),
+            (["kirby", "dualize", "3,3,"], "string-syntax"),
+        ],
+    )
+    def test_codes(self, capsys, argv, code):
+        assert invoke(capsys, *argv)[:2] == (1, f"error={code}\n")
+
+    def test_chain_and_kappa(self, capsys, tmp_path):
+        script = tmp_path / "moves.txt"
+        script.write_text("")
+        out = invoke(capsys, "kirby", "run", "chain -3,x sign=+", "--script", str(script))
+        assert out[:2] == (1, "error=chain-syntax\n")
+        out = invoke(capsys, "kirby", "run", "", "--script", str(script))
+        assert out[:2] == (1, "error=chain-syntax\n")
+        matrix = tmp_path / "zero.mat"
+        matrix.write_text("1 1\n0\n")
+        out = invoke(capsys, "obstruct", "attach", str(matrix), "--kappa", "2,", "--framing", "1")
+        assert out[:2] == (1, "error=kappa-syntax\n")

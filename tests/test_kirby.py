@@ -20,7 +20,7 @@ from plumbcalc.kirby import (
 from plumbcalc.sl2 import SL2Element
 from plumbcalc.strings import FamilyParams, family_string, split_relabel
 
-from conftest import family_parameter_space
+from conftest import best_cpu_seconds, family_parameter_space
 
 chains = st.builds(
     ChainState,
@@ -229,3 +229,63 @@ class TestRunScript:
         with pytest.raises(DomainError) as err:
             run_script(ChainState((-2, -2)), ["sideways 1"])
         assert err.value.code == "script-syntax"
+
+
+class TestShorterSideConjugator:
+    """rotate builds its conjugator from the shorter side of the cut."""
+
+    @given(chains, st.integers(0, 20))
+    def test_prefix_or_inverse_suffix(self, c, r):
+        n = len(c.framings)
+        rotated, conj = rotate(c, r)
+        r %= n
+        fr = c.framings
+        if 2 * r <= n:
+            expected = chain_monodromy(ChainState(fr[:r])) if r else SL2Element.identity()
+        else:
+            expected = chain_monodromy(ChainState(fr[r:])).inverse()
+        assert conj == expected
+        assert rotated.framings == fr[r:] + fr[:r] and rotated.eps == c.eps
+
+    def test_last_to_front_uses_one_factor(self):
+        c = ChainState((-3, -1, -4, -2, -5, 7))
+        rotated, conj = rotate(c, len(c.framings) - 1)
+        assert rotated.framings == (7, -3, -1, -4, -2, -5)
+        # (T^7 S)^-1
+        assert conj == chain_monodromy(ChainState((7,))).inverse()
+
+
+def family_of_length(length, k, seed):
+    rng = random.Random(seed)
+    xs = [0] * (2 * k + 1)
+    for _ in range(length - len(xs)):
+        xs[rng.randrange(len(xs))] += 1
+    return family_string(FamilyParams(k, tuple(xs)))
+
+
+class TestDualizeLong:
+    def test_every_rotation_reaches_the_two_block_form(self):
+        for params in family_parameter_space(1, 2):
+            s = family_string(params)
+            if s == (3,):
+                continue
+            for r in range(len(s)):
+                rotated = s[r:] + s[:r]
+                d, _ = split_relabel(rotated)
+                target = tuple(-x for x in d) + d
+                result = dualize_procedure(rotated)
+                fr = result.terminal.framings
+                assert any(fr[i:] + fr[:i] == target for i in range(len(fr)))
+                assert result.certified()
+
+    def test_length_606_is_fast_and_certified(self):
+        a = family_of_length(606, 10, 606)
+        assert len(a) == 606
+        result = dualize_procedure(a)
+        d, _ = split_relabel(a)
+        target = tuple(-x for x in d) + d
+        fr = result.terminal.framings
+        assert any(fr[i:] + fr[:i] == target for i in range(len(fr)))
+        assert result.start == ChainState(tuple(-x for x in a), 1)
+        assert result.certified()
+        assert best_cpu_seconds(lambda: dualize_procedure(a)) < 0.05

@@ -22,8 +22,14 @@ from plumbcalc.plumbing import (
     format_graph,
 )
 from plumbcalc.sl2 import MonodromyWord
+from plumbcalc.strings import FamilyParams, family_string, format_int_string
 
-from conftest import best_cpu_seconds, family_parameter_space
+from conftest import (
+    best_cpu_seconds,
+    brute_lex_min_rotation,
+    family_parameter_space,
+    hyperbolic_strings,
+)
 
 
 def path_graph(weights):
@@ -318,3 +324,33 @@ class TestConstructionParsing:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             parse_construction("# nothing\n", tmp_path)
+
+
+class TestRotatedWordDescriptors:
+    """Word descriptors name the least rotation, so rotating a word keeps them."""
+
+    def test_rotated_family_words(self):
+        for params in family_parameter_space(1, 2):
+            s = family_string(params)
+            first = evaluate_word(MonodromyWord(s))
+            assert first.descriptor == f"word:{format_int_string(brute_lex_min_rotation(s))}"
+            for r in range(1, len(s)):
+                entry = evaluate_word(MonodromyWord(s[r:] + s[:r]))
+                assert (entry.descriptor, entry.status) == (first.descriptor, STATUS_BOUNDS)
+
+    def test_rotated_hyperbolic_words(self):
+        for s in hyperbolic_strings(5, 4):
+            first = evaluate_word(MonodromyWord(s))
+            assert first.descriptor == f"word:{format_int_string(brute_lex_min_rotation(s))}"
+            for r in range(1, len(s)):
+                entry = evaluate_word(MonodromyWord(s[r:] + s[:r]))
+                assert (entry.descriptor, entry.status) == (first.descriptor, first.status)
+
+    def test_rotated_long_family_word(self):
+        params = FamilyParams(10, tuple(range(21)))
+        s = family_string(params)
+        first = evaluate_word(MonodromyWord(s))
+        assert first.status == STATUS_BOUNDS
+        for r in (1, 17, len(s) // 2, len(s) - 1):
+            entry = evaluate_word(MonodromyWord(s[r:] + s[:r]))
+            assert (entry.descriptor, entry.status) == (first.descriptor, STATUS_BOUNDS)

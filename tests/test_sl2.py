@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbcalc.errors import DomainError
@@ -8,8 +8,10 @@ from plumbcalc.sl2 import (
     MonodromyWord,
     SL2Element,
     TraceSign,
+    _least_rotation,
     classify,
     format_word,
+    lex_min_rotation,
     parse_word,
     rotation_equivalent,
     square_trace_check,
@@ -17,7 +19,7 @@ from plumbcalc.sl2 import (
     word_to_matrix,
 )
 
-from conftest import hyperbolic_strings
+from conftest import brute_lex_min_rotation, hyperbolic_strings
 
 words = st.builds(
     MonodromyWord,
@@ -154,3 +156,54 @@ class TestSL2Element:
     def test_inverse(self):
         m = SL2Element(5, 2, -3, -1)
         assert m @ m.inverse() == SL2Element.identity()
+
+
+class TestLeastRotationOracle:
+    """Booth's kernel against the comparison of every rotation."""
+
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(-3, 3), max_size=16))
+    def test_lex_min_rotation_matches_brute_force(self, s):
+        assert lex_min_rotation(s) == brute_lex_min_rotation(s)
+        if s:
+            k = _least_rotation(tuple(s))
+            assert 0 <= k < len(s)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4), st.integers(1, 6))
+    def test_periodic_words(self, unit, copies):
+        s = tuple(unit) * copies
+        assert lex_min_rotation(s) == brute_lex_min_rotation(s)
+
+    def test_periodic_examples(self):
+        for k in range(1, 9):
+            s = (2, 2, 3) * k
+            for r in range(len(s)):
+                assert lex_min_rotation(s[r:] + s[:r]) == s
+
+    def test_lengths_zero_and_one(self):
+        assert lex_min_rotation(()) == ()
+        assert lex_min_rotation((-7,)) == (-7,)
+        assert _least_rotation((5,)) == 0
+
+    def test_negative_entries(self):
+        assert lex_min_rotation((0, -1, 3, -1, -2)) == (-2, 0, -1, 3, -1)
+
+    @settings(max_examples=500)
+    @given(
+        st.lists(st.integers(-2, 2), max_size=9),
+        st.lists(st.integers(-2, 2), max_size=9),
+    )
+    def test_rotation_equivalent_matches_brute_force(self, a, b):
+        a, b = tuple(a), tuple(b)
+        expected = len(a) == len(b) and (
+            not a or any(a[r:] + a[:r] == b for r in range(len(a)))
+        )
+        assert rotation_equivalent(a, b) == expected
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=12), st.integers(0, 100))
+    def test_every_rotation_is_equivalent(self, s, shift):
+        s = tuple(s)
+        r = shift % len(s)
+        assert rotation_equivalent(s, s[r:] + s[:r])

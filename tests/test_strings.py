@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbcalc.errors import DomainError
 from plumbcalc.intmat import is_perfect_square
-from plumbcalc.sl2 import MonodromyWord, word_to_matrix
+from plumbcalc.sl2 import MonodromyWord, rotation_equivalent, word_to_matrix
 from plumbcalc.strings import (
+    _MAX_ENTRIES,
     FamilyParams,
     cf_value,
     dual_string,
@@ -17,7 +20,12 @@ from plumbcalc.strings import (
     split_relabel,
 )
 
-from conftest import all_strings, family_parameter_space
+from conftest import (
+    all_strings,
+    best_cpu_seconds,
+    family_parameter_space,
+    reference_recognize_family,
+)
 
 
 def dual_corpus():
@@ -192,3 +200,74 @@ class TestSyntax:
             parse_family_params("k=1")
         with pytest.raises(DomainError):
             parse_family_params("k=1;x=0")
+
+
+family_params = st.integers(0, 3).flatmap(
+    lambda k: st.lists(
+        st.integers(0, 4), min_size=2 * k + 1, max_size=2 * k + 1
+    ).map(lambda xs: FamilyParams(k, tuple(xs)))
+)
+
+
+class TestFirstRotationParse:
+    """recognize_family parses one rotation; the reference tries them all."""
+
+    @settings(max_examples=400)
+    @given(st.lists(st.integers(2, 5), max_size=14))
+    def test_random_strings_match_reference(self, s):
+        assert recognize_family(s) == reference_recognize_family(s)
+
+    @settings(max_examples=300)
+    @given(family_params, st.integers(0, 10**6))
+    def test_rotated_family_strings_match_reference(self, params, shift):
+        s = family_string(params)
+        r = shift % len(s)
+        rotated = s[r:] + s[:r]
+        found = recognize_family(rotated)
+        assert found is not None and found == reference_recognize_family(rotated)
+        # the parameters found generate a rotation of the input
+        assert rotation_equivalent(family_string(found), rotated)
+
+    def test_exhaustive_small_strings_match_reference(self):
+        for s in all_strings(7, 2, 4):
+            assert recognize_family(s) == reference_recognize_family(s), s
+
+    def test_split_of_rotations_matches_canonical_parse(self):
+        for params in family_parameter_space(1, 2):
+            s = family_string(params)
+            if s == (3,):
+                continue
+            for r in range(len(s)):
+                rotated = s[r:] + s[:r]
+                canonical = family_string(reference_recognize_family(rotated))
+                assert split_relabel(rotated) == split_relabel(canonical)
+
+    def test_long_non_member_is_fast(self):
+        # 1999 entries >= 3 (odd), but the block containing 4 breaks consistency;
+        # trying every rotation made this quadratic (seconds at this length)
+        s = (3,) * 1998 + (4, 2)
+        assert recognize_family(s) is None
+        assert best_cpu_seconds(lambda: recognize_family(s)) < 0.05
+
+    def test_long_member_is_fast(self):
+        params = FamilyParams(500, tuple(i % 3 for i in range(1001)))
+        s = family_string(params)
+        rotated = s[len(s) // 2:] + s[: len(s) // 2]
+        found = recognize_family(rotated)
+        assert found is not None and rotation_equivalent(family_string(found), s)
+        assert best_cpu_seconds(lambda: recognize_family(rotated)) < 0.05
+
+
+class TestOutputSizeLimit:
+    """Strings longer than the cap fail with too-large before they are built."""
+
+    def test_dual_of_huge_entry(self):
+        with pytest.raises(DomainError) as info:
+            dual_string((10**9,))
+        assert info.value.code == "too-large"
+
+    def test_family_string_boundary(self):
+        assert len(family_string(FamilyParams(0, (_MAX_ENTRIES - 1,)))) == _MAX_ENTRIES
+        with pytest.raises(DomainError) as info:
+            family_string(FamilyParams(0, (_MAX_ENTRIES,)))
+        assert info.value.code == "too-large"
