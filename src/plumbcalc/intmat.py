@@ -93,8 +93,8 @@ class IntMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        rows = self.to_rows()
-        return self.is_square and all(r == list(c) for r, c in zip(rows, zip(*rows)))
+        e, n = self.entries, self.cols
+        return self.is_square and all(e[i * n:(i + 1) * n] == e[i::n] for i in range(n))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))

@@ -13,6 +13,7 @@ conjugator, letting longer procedures certify their result as
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import ContractError, DomainError
@@ -66,10 +67,11 @@ def chain_monodromy(c: ChainState) -> SL2Element:
     return word_to_matrix(_word(c.framings, c.eps))
 
 
-def _blow(fr: list[int], i: int, e: int, up: bool) -> None:
-    """The blow move on a framing list, in place: insert (``up``) or remove
-    the framing-``e`` component at index ``i``; its two neighbours change by
-    +e or -e.  Either way eps flips exactly when e = +1.  Callers validate."""
+def _blow(fr: list[int] | deque[int], i: int, e: int, up: bool) -> None:
+    """The blow move on a framing list or deque, in place: insert (``up``)
+    or remove the framing-``e`` component at index ``i``; its two neighbours
+    change by +e or -e.  Either way eps flips exactly when e = +1.  Callers
+    validate."""
     if up:
         fr.insert(i, e)
     step = e if up else -e
@@ -188,24 +190,30 @@ def dualize_procedure(a) -> DualizeResult:
     eps = 1
     ups = downs = 0
     # align to canonical block order and park the e-block tail at index 0
-    witness = _cut(fr, (offset - 1) % len(fr))
+    w = _cut(fr, (offset - 1) % len(fr))
+    wa, wb, wc, wd = w.a, w.b, w.c, w.d  # the conjugator, as plain ints
+    ring = deque(fr)  # O(1) rotation and edits at both ends
 
     remaining = len(e)
     while remaining:
         # +1 blowup between the e-tail (index 0) and the head it feeds
-        _blow(fr, 1, 1, up=True)
+        _blow(ring, 1, 1, up=True)
         eps = -eps
         ups += 1
-        while remaining and fr[0] == -1:
-            # move the -1 to index 1 (rotate by n-1) and blow it down
-            witness = witness @ _cut(fr, len(fr) - 1)
-            _blow(fr, 1, -1, up=False)
+        while remaining and ring[0] == -1:
+            # move the last entry f to the front, which conjugates by
+            # (T^f S)^-1 = [[0, -1], [1, -f]], then blow down the -1 at index 1
+            f = ring[-1]
+            wa, wb, wc, wd = wb, -wa - f * wb, wd, -wc - f * wd
+            ring.rotate(1)
+            _blow(ring, 1, -1, up=False)
             downs += 1
             remaining -= 1
 
     start = ChainState(tuple(-x for x in a), 1)
-    result = DualizeResult(start, ChainState(tuple(fr), eps), witness, ups, downs)
-    if not rotation_equivalent(fr, tuple(-x for x in d) + d):
+    terminal = ChainState(tuple(ring), eps)
+    result = DualizeResult(start, terminal, SL2Element(wa, wb, wc, wd), ups, downs)
+    if not rotation_equivalent(terminal.framings, tuple(-x for x in d) + d):
         raise ContractError("contract-two-block", f"dualization of {a} missed the two-block form")
     if not result.certified():
         raise ContractError("contract-certificate", f"dualization of {a} failed its certificate")

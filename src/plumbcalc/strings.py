@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, DomainError
-from .sl2 import _format_list, _parse_list
+from .sl2 import MonodromyWord, _format_list, _parse_list, word_to_matrix
 
 __all__ = [
     "FamilyParams",
@@ -74,20 +74,9 @@ def cf_value(b) -> Fraction:
     return val
 
 
-def dual_string(b) -> tuple[int, ...]:
-    """Dual of a string of integers >= 2.
-
-    An all-2 string of length k dualizes to (k+1).  Otherwise write b as
-    (2^[m_1], 3+n_1, 2^[m_2], 3+n_2, ..., 3+n_s, 2^[m_{s+1}]); the dual is
-    (m_1+2, 2^[n_1], m_2+3, 2^[n_2], ..., m_s+3, 2^[n_s], m_{s+1}+2).
-    The output is checked against the continued-fraction oracle:
-    cf(b) = p/q implies cf(dual(b)) = p/(p-q).
-    """
-    b = tuple(b)
-    _check_dual_input(b)
-    if all(x == 2 for x in b):
-        return (len(b) + 1,)
-
+def _dual_rule(b: tuple[int, ...]) -> tuple[int, ...]:
+    """The combinatorial dual of a valid string with an entry >= 3 (see
+    :func:`dual_string`)."""
     starts = [r for r, x in enumerate(b) if x >= 3]
     bigs = [b[r] - 3 for r in starts]  # excess over 3 of each entry >= 3
     bounds = [-1, *starts, len(b)]
@@ -101,11 +90,26 @@ def dual_string(b) -> tuple[int, ...]:
         if t < s - 1:
             out.append(runs[t + 1] + 3)
     out.append(runs[s] + 2)
-    result = tuple(out)
+    return tuple(out)
 
-    pq = cf_value(b)
-    dual_pq = cf_value(result)
-    if dual_pq != Fraction(pq.numerator, pq.numerator - pq.denominator):
+
+def dual_string(b) -> tuple[int, ...]:
+    """Dual of a string of integers >= 2.
+
+    An all-2 string of length k dualizes to (k+1).  Otherwise write b as
+    (2^[m_1], 3+n_1, 2^[m_2], 3+n_2, ..., 3+n_s, 2^[m_{s+1}]); the dual is
+    (m_1+2, 2^[n_1], m_2+3, 2^[n_2], ..., m_s+3, 2^[n_s], m_{s+1}+2).
+    The second case is checked in integer arithmetic against the continued
+    fraction: cf(b) = p/q implies cf(dual(b)) = p/(p-q), both reduced.
+    """
+    b = tuple(b)
+    _check_dual_input(b)
+    if all(x == 2 for x in b):
+        return (len(b) + 1,)
+    result = _dual_rule(b)
+    # cf(s) = a/-c of word_to_matrix(s), coprime since ad - bc = 1
+    m, dm = word_to_matrix(MonodromyWord(b)), word_to_matrix(MonodromyWord(result))
+    if (dm.a, -dm.c) != (m.a, m.a + m.c):
         raise ContractError("contract-dual-string", f"dual rule broke the cf contract on {b}")
     return result
 

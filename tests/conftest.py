@@ -1,5 +1,6 @@
 """Shared test fixtures: independent oracles and exhaustive corpora."""
 
+import random
 from itertools import product
 from time import process_time
 
@@ -146,3 +147,41 @@ def brute_lex_min_rotation(s):
     """Least rotation by comparing all of them: the oracle for Booth's kernel."""
     s = tuple(s)
     return min((s[r:] + s[:r] for r in range(len(s))), default=s)
+
+
+def family_of_length(length, k, seed):
+    """A seeded family string of the given length with 2k+1 blocks."""
+    from plumbcalc.strings import FamilyParams, family_string
+
+    rng = random.Random(seed)
+    xs = [0] * (2 * k + 1)
+    for _ in range(length - len(xs)):
+        xs[rng.randrange(len(xs))] += 1
+    return family_string(FamilyParams(k, tuple(xs)))
+
+
+def reference_dualize(a):
+    """Reference dualization: the per-move loop on a list, which moves the
+    last entry to the front with ``_cut`` and multiplies its ``SL2Element``
+    conjugator at every blowdown (O(n) per move).  No contract checks."""
+    from plumbcalc.kirby import ChainState, DualizeResult, _blow, _cut
+    from plumbcalc.strings import _split_family
+
+    a = tuple(a)
+    offset, _, e = _split_family(a)
+    fr = [-x for x in a]
+    eps = 1
+    ups = downs = 0
+    witness = _cut(fr, (offset - 1) % len(fr))
+    remaining = len(e)
+    while remaining:
+        _blow(fr, 1, 1, up=True)
+        eps = -eps
+        ups += 1
+        while remaining and fr[0] == -1:
+            witness = witness @ _cut(fr, len(fr) - 1)
+            _blow(fr, 1, -1, up=False)
+            downs += 1
+            remaining -= 1
+    start = ChainState(tuple(-x for x in a), 1)
+    return DualizeResult(start, ChainState(tuple(fr), eps), witness, ups, downs)

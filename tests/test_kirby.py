@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumbcalc.errors import DomainError
+from plumbcalc import kirby
+from plumbcalc.cli import main
+from plumbcalc.errors import ContractError, DomainError
 from plumbcalc.kirby import (
     ChainState,
     blow_down,
@@ -20,7 +22,12 @@ from plumbcalc.kirby import (
 from plumbcalc.sl2 import SL2Element
 from plumbcalc.strings import FamilyParams, family_string, split_relabel
 
-from conftest import best_cpu_seconds, family_parameter_space
+from conftest import (
+    best_cpu_seconds,
+    family_of_length,
+    family_parameter_space,
+    reference_dualize,
+)
 
 chains = st.builds(
     ChainState,
@@ -255,14 +262,6 @@ class TestShorterSideConjugator:
         assert conj == chain_monodromy(ChainState((7,))).inverse()
 
 
-def family_of_length(length, k, seed):
-    rng = random.Random(seed)
-    xs = [0] * (2 * k + 1)
-    for _ in range(length - len(xs)):
-        xs[rng.randrange(len(xs))] += 1
-    return family_string(FamilyParams(k, tuple(xs)))
-
-
 class TestDualizeLong:
     def test_every_rotation_reaches_the_two_block_form(self):
         for params in family_parameter_space(1, 2):
@@ -289,3 +288,65 @@ class TestDualizeLong:
         assert result.start == ChainState(tuple(-x for x in a), 1)
         assert result.certified()
         assert best_cpu_seconds(lambda: dualize_procedure(a)) < 0.05
+
+    def test_length_606_under_5ms(self):
+        a = family_of_length(606, 10, 606)
+        assert best_cpu_seconds(lambda: dualize_procedure(a)) < 0.005
+
+
+class TestDualizeAgainstReference:
+    """The deque loop with its int conjugator equals the per-move ``_cut``
+    loop: same terminal chain, conjugator and move counts."""
+
+    def test_every_rotation_of_small_family_strings(self):
+        for params in list(family_parameter_space(1, 2)) + list(family_parameter_space(2, 1)):
+            s = family_string(params)
+            if s == (3,):
+                continue
+            for r in range(len(s)):
+                rotated = s[r:] + s[:r]
+                assert dualize_procedure(rotated) == reference_dualize(rotated)
+
+    def test_length_606_and_its_rotations(self):
+        a = family_of_length(606, 10, 606)
+        for r in (0, 1, 5, 303, 605):
+            rotated = a[r:] + a[:r]
+            assert dualize_procedure(rotated) == reference_dualize(rotated)
+
+
+class TestDualizeContracts:
+    """A broken move makes the dualization contracts fire, in the library
+    and through the CLI."""
+
+    A = family_string(FamilyParams(1, (1, 0, 2)))
+
+    def _dualize_cli(self, capsys):
+        code = main(["kirby", "dualize", ",".join(map(str, self.A))])
+        return code, capsys.readouterr().out
+
+    def test_two_block(self, monkeypatch, capsys):
+        blow = kirby._blow
+
+        def bad_blow(fr, i, e, up):  # a blowdown that also lowers the last framing
+            blow(fr, i, e, up)
+            if not up:
+                fr[-1] -= 1
+
+        monkeypatch.setattr(kirby, "_blow", bad_blow)
+        with pytest.raises(ContractError) as err:
+            dualize_procedure(self.A)
+        assert err.value.code == "contract-two-block"
+        assert self._dualize_cli(capsys) == (1, "error=contract-two-block\n")
+
+    def test_certificate(self, monkeypatch, capsys):
+        cut = kirby._cut
+
+        def bad_cut(fr, r):  # rotates, but forgets the conjugator
+            cut(fr, r)
+            return SL2Element.identity()
+
+        monkeypatch.setattr(kirby, "_cut", bad_cut)
+        with pytest.raises(ContractError) as err:
+            dualize_procedure(self.A)
+        assert err.value.code == "contract-certificate"
+        assert self._dualize_cli(capsys) == (1, "error=contract-certificate\n")

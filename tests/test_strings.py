@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumbcalc.errors import DomainError
+from plumbcalc import strings
+from plumbcalc.cli import main
+from plumbcalc.errors import ContractError, DomainError
 from plumbcalc.intmat import is_perfect_square
 from plumbcalc.sl2 import MonodromyWord, rotation_equivalent, word_to_matrix
 from plumbcalc.strings import (
@@ -23,6 +25,7 @@ from plumbcalc.strings import (
 from conftest import (
     all_strings,
     best_cpu_seconds,
+    family_of_length,
     family_parameter_space,
     reference_recognize_family,
 )
@@ -87,6 +90,32 @@ class TestDualString:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             dual_string(())
+
+
+class TestIntegerDualContract:
+    """dual_string checks its contract through the one T^k S product:
+    (a, -c) of word_to_matrix is cf_value's reduced (numerator, denominator)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=80))
+    def test_matrix_pair_is_the_continued_fraction(self, b):
+        m = word_to_matrix(MonodromyWord(tuple(b)))
+        v = cf_value(b)
+        assert (m.a, -m.c) == (v.numerator, v.denominator)
+
+    def test_family_606_under_2ms(self):
+        a = family_of_length(606, 10, 606)
+        p, q = cf_value(a).numerator, cf_value(a).denominator
+        assert cf_value(dual_string(a)) == Fraction(p, p - q)
+        assert best_cpu_seconds(lambda: dual_string(a)) < 0.002
+
+    def test_broken_rule_fires_the_contract(self, monkeypatch, capsys):
+        monkeypatch.setattr(strings, "_dual_rule", lambda b: b)  # a rule that returns its input
+        with pytest.raises(ContractError) as err:
+            dual_string((3, 2))
+        assert err.value.code == "contract-dual-string"
+        assert main(["dual", "3,2"]) == 1
+        assert capsys.readouterr().out == "error=contract-dual-string\n"
 
 
 class TestFamilyString:
