@@ -22,6 +22,7 @@ from .sl2 import (
     SL2Element,
     _format_list,
     _parse_list,
+    _token_lines,
     rotation_equivalent,
     word_to_matrix,
 )
@@ -54,7 +55,7 @@ class ChainState:
             raise DomainError("empty-chain", "a chain needs at least one component")
         if self.eps not in (1, -1):
             raise DomainError("bad-sign", "eps must be +1 or -1")
-        object.__setattr__(self, "framings", tuple(int(f) for f in self.framings))
+        object.__setattr__(self, "framings", tuple(map(int, self.framings)))
 
 
 def _word(framings, eps: int = 1) -> MonodromyWord:
@@ -246,12 +247,7 @@ def run_script(c: ChainState, lines) -> tuple[ChainState, SL2Element]:
     (identity if the script never rotated)."""
     state = c
     witness = SL2Element.identity()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-
+    for lineno, raw, parts in _token_lines(lines):
         def _int(token: str) -> int:
             try:
                 return int(token)

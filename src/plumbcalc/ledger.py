@@ -36,7 +36,14 @@ from .plumbing import (
     parse_graph,
     self_join,
 )
-from .sl2 import MonodromyWord, format_word, lex_min_rotation, parse_word, word_to_matrix
+from .sl2 import (
+    MonodromyWord,
+    _token_lines,
+    format_word,
+    lex_min_rotation,
+    parse_word,
+    word_to_matrix,
+)
 from .strings import format_int_string, recognize_family
 
 __all__ = [
@@ -127,14 +134,12 @@ class Construction:
 
     _graphs: dict[str, PlumbingGraph] = field(default_factory=dict)
     _steps: dict[str, tuple] = field(default_factory=dict)
-    _order: list[str] = field(default_factory=list)
 
     def _record(self, name: str, graph: PlumbingGraph, step: tuple) -> None:
         if name in self._graphs:
             raise DomainError("duplicate-name", f"{name} is already defined")
         self._graphs[name] = graph
         self._steps[name] = step
-        self._order.append(name)
 
     def add_tree(self, name: str, graph: PlumbingGraph) -> PlumbingGraph:
         self._record(name, graph, ("tree",))
@@ -156,7 +161,7 @@ class Construction:
         return self._graphs[name]
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self._order)
+        return tuple(self._steps)
 
     def evaluate(self, name: str) -> LedgerEntry:
         """Ledger verdict for a named graph, chaining provenance through the
@@ -228,11 +233,7 @@ def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Constru
     base = base_dir or Path(".")
     build = Construction()
     target: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _token_lines(text.splitlines()):
         try:
             if parts[0] == "tree" and len(parts) == 3:
                 path = base / parts[2]
@@ -247,7 +248,7 @@ def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Constru
                 target = parts[1]
             else:
                 raise DomainError("build-syntax", f"line {lineno}: cannot parse {raw!r}")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("build-io", f"line {lineno}: {exc}") from exc
     if not build.names():
         raise DomainError("build-empty", "construction defines no graphs")
@@ -280,13 +281,13 @@ def evaluate_descriptor(text: str, base_dir: Path | None = None) -> LedgerEntry:
         path = base / text[len("graph:"):]
         try:
             return evaluate_graph(parse_graph(path.read_text()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("descriptor-io", str(exc)) from exc
     if text.startswith("build:"):
         path = base / text[len("build:"):]
         try:
             build, target = parse_construction(path.read_text(), path.parent)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("descriptor-io", str(exc)) from exc
         return build.evaluate(target)
     raise DomainError(

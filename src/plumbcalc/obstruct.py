@@ -66,7 +66,7 @@ class KnotClass:
     framing: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", tuple(int(x) for x in self.kappa))
+        object.__setattr__(self, "kappa", tuple(map(int, self.kappa)))
 
 
 def _check_dimensions(p: SurgeryPresentation, k: KnotClass) -> None:

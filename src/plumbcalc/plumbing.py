@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .intmat import AbelianGroupDesc, IntMatrix, abelian_group_of
-from .sl2 import MonodromyWord, SL2Element, word_to_matrix
+from .sl2 import MonodromyWord, SL2Element, _token_lines, word_to_matrix
 
 __all__ = [
     "PlumbingGraph",
@@ -144,11 +144,7 @@ def parse_graph(text: str) -> PlumbingGraph:
     """
     vertices: list[tuple[str, int]] = []
     edges: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _token_lines(text.splitlines()):
         if parts[0] == "vertex" and len(parts) == 3:
             try:
                 weight = int(parts[2])

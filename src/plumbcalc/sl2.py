@@ -84,7 +84,7 @@ class MonodromyWord:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise DomainError("bad-sign", "sign must be +1 or -1")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
 
 def word_to_matrix(w: MonodromyWord) -> SL2Element:
@@ -200,6 +200,15 @@ def _parse_list(text: str, code: str) -> tuple[int, ...]:
         return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise DomainError(code, f"bad entry: {exc}") from exc
+
+
+def _token_lines(lines):
+    """Read a line format: yield ``(line number, raw line, tokens)`` for each
+    line that is not blank once its ``#`` comment is stripped."""
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
 
 
 def _format_list(xs) -> str:

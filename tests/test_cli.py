@@ -6,6 +6,10 @@ import pytest
 from plumbcalc.cli import build_parser, main
 from plumbcalc.plumbing import parse_graph
 
+# ``--help`` of every command path and the usage errors of a missing
+# subcommand, recorded before the parser was built from a table
+GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_help.json").read_text())
+
 SEED_PATH_TEXT = (
     "vertex a -1\nvertex b -2\nvertex c -2\nvertex d -1\n"
     "edge a b +\nedge b c +\nedge c d +\n"
@@ -73,23 +77,73 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read" in err
 
-    def test_help_everywhere(self, capsys):
-        for argv in (
-            ["--help"],
-            ["dual", "--help"],
-            ["mono", "--help"],
-            ["family", "--help"],
-            ["plumb", "--help"],
-            ["plumb", "selfjoin", "--help"],
-            ["kirby", "--help"],
-            ["kirby", "run", "--help"],
-            ["obstruct", "--help"],
-            ["ledger", "--help"],
-            ["mat", "--help"],
-        ):
-            code, out, _ = invoke(capsys, *argv)
-            assert code == 0
-            assert "usage" in out or "usage" in _
+    def test_help_everywhere(self, capsys, monkeypatch):
+        # argparse wraps help at $COLUMNS (less 2); pin it so the bytes are
+        # those recorded in golden_help.json
+        monkeypatch.setenv("COLUMNS", "80")
+        assert len([c for c in GOLDEN_HELP if c["argv"][-1:] == ["--help"]]) == 26
+        for case in GOLDEN_HELP:
+            assert invoke(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# every command that reads a file, and the ledger's three read sites, on a
+# file that is not UTF-8 text ({bad}); {graph} is a readable graph.
+# (argv, exit code, stdout); a usage error says "cannot read" on stderr
+NON_UTF8_CASES = {
+    "plumb form": (["plumb", "form", "{bad}"], 2, ""),
+    "plumb homology": (["plumb", "homology", "{bad}"], 2, ""),
+    "plumb selfjoin": (
+        ["plumb", "selfjoin", "{bad}", "--v1", "a", "--v2", "d", "--sign", "+"], 2, ""
+    ),
+    "plumb join": (["plumb", "join", "{bad}", "{graph}", "--v1", "a", "--v2", "a"], 2, ""),
+    "plumb join (graph2)": (["plumb", "join", "{graph}", "{bad}", "--v1", "a", "--v2", "a"], 2, ""),
+    "plumb checkjoin": (["plumb", "checkjoin", "{bad}", "--v", "a"], 2, ""),
+    "kirby run": (["kirby", "run", "chain -2,-2 sign=+", "--script", "{bad}"], 2, ""),
+    "obstruct attach": (["obstruct", "attach", "{bad}", "--kappa", "2", "--framing", "1"], 2, ""),
+    "obstruct mu": (["obstruct", "mu", "{bad}"], 2, ""),
+    "mat det": (["mat", "det", "{bad}"], 2, ""),
+    "mat snf": (["mat", "snf", "{bad}"], 2, ""),
+    "mat group": (["mat", "group", "{bad}"], 2, ""),
+    "mat signature": (["mat", "signature", "{bad}"], 2, ""),
+    "ledger graph:": (["ledger", "eval", "graph:{bad}"], 1, "error=descriptor-io\n"),
+    "ledger build:": (["ledger", "eval", "build:{bad}"], 1, "error=descriptor-io\n"),
+    "ledger tree": (["ledger", "eval", "build:{tree_script}"], 1, "error=build-io\n"),
+}
+
+
+class TestUnreadableFiles:
+    """A file that is not UTF-8 text is an error with a code, never a
+    traceback."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"vertex a -1\n\xd0\xff\xfe\x00\x80 not utf-8\n")
+        graph = tmp_path / "seed.graph"
+        graph.write_text(SEED_PATH_TEXT)
+        tree_script = tmp_path / "tree.build"
+        tree_script.write_text("tree T bad.bin\n")
+        return {"bad": str(bad), "graph": str(graph), "tree_script": str(tree_script)}
+
+    @pytest.mark.parametrize("case", sorted(NON_UTF8_CASES))
+    def test_non_utf8(self, capsys, paths, case):
+        argv, exit_code, stdout = NON_UTF8_CASES[case]
+        code, out, err = invoke(capsys, *[a.format(**paths) for a in argv])
+        assert (code, out) == (exit_code, stdout)
+        assert "Traceback" not in err
+        if exit_code == 2:
+            assert err.startswith(f"cannot read {paths['bad']}: ")
+
+    def test_every_file_command_is_covered(self):
+        from plumbcalc.cli import COMMANDS
+
+        file_args = {"graph", "graph2", "matrix", "--script"}
+        takes_file = {
+            path for path, _, arguments, _ in COMMANDS
+            if file_args & {a if isinstance(a, str) else a[0] for a in arguments}
+        }
+        covered = {c.split(" (")[0] for c in NON_UTF8_CASES if not c.startswith("ledger")}
+        assert takes_file == covered
 
 
 class TestPlumbCommands:
