@@ -4,74 +4,17 @@ Exact integer linear algebra (determinants, Smith normal form, signatures),
 SL(2,Z) monodromy words, dual-string combinatorics, plumbing-graph homology
 with join/self-join constructions and a certification ledger, blowup/blowdown
 rewriting of framed chains, and homological obstructions.
+
+The package namespace is the union of the layers' ``__all__`` lists.
 """
 
-from .errors import DomainError
-from .intmat import (
-    AbelianGroupDesc,
-    IntMatrix,
-    SNFResult,
-    abelian_group_of,
-    det,
-    is_perfect_square,
-    rank,
-    signature,
-    snf,
-)
-from .kirby import (
-    ChainState,
-    DualizeResult,
-    blow_down,
-    blow_up,
-    chain_monodromy,
-    dualize_procedure,
-    rotate,
-)
-from .ledger import (
-    Construction,
-    LedgerEntry,
-    evaluate_descriptor,
-    evaluate_graph,
-    evaluate_word,
-)
-from .obstruct import (
-    KnotClass,
-    SurgeryPresentation,
-    attach_two_handle,
-    has_infinite_order,
-    rohlin_mu,
-    square_order_obstruction,
-)
-from .plumbing import (
-    JoinHypotheses,
-    PlumbingGraph,
-    boundary_homology,
-    check_join_hypotheses,
-    cycle_monodromy,
-    cycle_plumbing_from_word,
-    intersection_form,
-    join,
-    parse_graph,
-    self_join,
-)
-from .sl2 import (
-    BundleType,
-    MonodromyWord,
-    SL2Element,
-    TraceSign,
-    classify,
-    rotation_equivalent,
-    square_trace_check,
-    torsion_order,
-    word_to_matrix,
-)
-from .strings import (
-    FamilyParams,
-    cf_value,
-    dual_string,
-    family_string,
-    recognize_family,
-    split_relabel,
-)
+from .errors import *
+from .intmat import *
+from .kirby import *
+from .ledger import *
+from .obstruct import *
+from .plumbing import *
+from .sl2 import *
+from .strings import *
 
 __version__ = "0.1.0"

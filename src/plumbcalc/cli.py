@@ -24,7 +24,7 @@ class _Usage(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
 

@@ -1,5 +1,7 @@
 """Domain error type shared by every module."""
 
+__all__ = ["DomainError", "ContractError"]
+
 
 class DomainError(ValueError):
     """Raised when an operation is applied outside its mathematical domain.

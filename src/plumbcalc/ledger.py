@@ -237,7 +237,7 @@ def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Constru
         try:
             if parts[0] == "tree" and len(parts) == 3:
                 path = base / parts[2]
-                build.add_tree(parts[1], parse_graph(path.read_text()))
+                build.add_tree(parts[1], parse_graph(path.read_text(encoding="utf-8")))
             elif parts[0] == "join" and len(parts) == 6:
                 build.add_join(parts[1], parts[2], parts[3], parts[4], parts[5])
             elif parts[0] == "selfjoin" and len(parts) == 6 and parts[5] in ("+", "-"):
@@ -280,13 +280,13 @@ def evaluate_descriptor(text: str, base_dir: Path | None = None) -> LedgerEntry:
     if text.startswith("graph:"):
         path = base / text[len("graph:"):]
         try:
-            return evaluate_graph(parse_graph(path.read_text()))
+            return evaluate_graph(parse_graph(path.read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("descriptor-io", str(exc)) from exc
     if text.startswith("build:"):
         path = base / text[len("build:"):]
         try:
-            build, target = parse_construction(path.read_text(), path.parent)
+            build, target = parse_construction(path.read_text(encoding="utf-8"), path.parent)
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("descriptor-io", str(exc)) from exc
         return build.evaluate(target)

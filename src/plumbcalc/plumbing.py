@@ -138,7 +138,8 @@ def parse_graph(text: str) -> PlumbingGraph:
         vertex <name> <integer-weight>
         edge <name> <name> <+|->
 
-    '#' starts a comment.  The result has at most one cycle, with its edge
+    '#' starts a comment; a text with no vertex and no edge line is
+    ``empty-graph``.  The result has at most one cycle, with its edge
     signs normalized so that at most one cycle edge is negative (preserving
     the sign product).
     """
@@ -155,6 +156,8 @@ def parse_graph(text: str) -> PlumbingGraph:
             edges.append((parts[1], parts[2], 1 if parts[3] == "+" else -1))
         else:
             raise DomainError("graph-syntax", f"line {lineno}: cannot parse {raw!r}")
+    if not vertices and not edges:
+        raise DomainError("empty-graph", "a graph needs at least one vertex")
     graph = PlumbingGraph(tuple(vertices), tuple(edges))
     if graph.cycle_count > 1:
         raise DomainError("multi-cycle", "graphs with two or more independent cycles are unsupported")

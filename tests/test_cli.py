@@ -146,6 +146,60 @@ class TestUnreadableFiles:
         assert takes_file == covered
 
 
+class TestUtf8WhateverTheLocale:
+    """Input files are read as UTF-8 even where the locale's encoding is
+    ASCII, so a comment holding an ``é`` does not make a file unreadable."""
+
+    CASES = {
+        "plumb homology": (["plumb", "homology", "u.graph"], "homology=Z/5\n"),
+        "ledger graph:": (["ledger", "eval", "graph:u.graph"], "{entry}\n"),
+        "ledger build: and tree": (["ledger", "eval", "build:u.build"], "{entry}\n"),
+    }
+    ENTRY = "descriptor=graph:v0:-2,v1:-3|v0-v1:+ status=obstructed reason=torsion-not-square(5)"
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_c_locale(self, tmp_path, case):
+        import os
+        import subprocess
+        import sys
+
+        import plumbcalc
+
+        (tmp_path / "u.graph").write_text(
+            "vertex a -2 # café\nvertex b -3\nedge a b +\n", encoding="utf-8"
+        )
+        (tmp_path / "u.build").write_text("tree T u.graph # café\n", encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        # the child runs in tmp_path, so a relative PYTHONPATH would not find the package
+        env["PYTHONPATH"] = str(Path(plumbcalc.__file__).resolve().parents[1])
+        argv, stdout = self.CASES[case]
+        result = subprocess.run(
+            [sys.executable, "-m", "plumbcalc", *argv],
+            capture_output=True, encoding="utf-8", cwd=tmp_path, env=env,
+        )
+        assert (result.returncode, result.stdout) == (0, stdout.format(entry=self.ENTRY))
+        assert result.stderr == ""
+
+
+class TestEmptyGraphFile:
+    """A graph file with no vertex and no edge line is an error, not the
+    empty plumbing."""
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    @pytest.mark.parametrize("argv, name", [
+        (["plumb", "form", "{path}"], "empty.graph"),
+        (["ledger", "eval", "graph:{path}"], "empty.graph"),
+        (["ledger", "eval", "build:{path}"], "empty.build"),
+    ])
+    def test_empty_graph(self, capsys, tmp_path, text, argv, name):
+        (tmp_path / "empty.graph").write_text(text)
+        (tmp_path / "empty.build").write_text("tree T empty.graph\n")
+        path = str(tmp_path / name)
+        code, out, err = invoke(capsys, *[a.format(path=path) for a in argv])
+        assert (code, out) == (1, "error=empty-graph\n")
+        assert "Traceback" not in err
+
+
 class TestPlumbCommands:
     @pytest.fixture
     def graph_file(self, tmp_path):
