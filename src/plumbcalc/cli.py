@@ -5,16 +5,17 @@ invocation.  Exit codes: 0 success, 1 domain error (with ``error=<code>`` on
 stdout), 2 usage error (diagnostic on stderr, courtesy of argparse).
 
 Every command is one row of :data:`COMMANDS`; :func:`build_parser` builds the
-whole argparse tree from that table.
+whole argparse tree from that table.  No layer is imported at module level:
+each row names its handler's layers, imported only when it is dispatched.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from . import intmat, kirby, ledger, obstruct, plumbing, sl2, strings
 from .errors import DomainError
 
 
@@ -29,12 +30,16 @@ def _read(path: str) -> str:
         raise _Usage(f"cannot read {path}: {exc}") from exc
 
 
-def _graph(path: str) -> plumbing.PlumbingGraph:
-    return plumbing.parse_graph(_read(path))
+def _graph(path: str):
+    from .plumbing import parse_graph
+
+    return parse_graph(_read(path))
 
 
-def _matrix(path: str) -> intmat.IntMatrix:
-    return intmat.parse_matrix_text(_read(path))
+def _matrix(path: str):
+    from .intmat import parse_matrix_text
+
+    return parse_matrix_text(_read(path))
 
 
 def _yes_no(flag: bool) -> str:
@@ -45,17 +50,26 @@ def _sign(text: str) -> int:
     return 1 if text == "+" else -1
 
 
-def _chain_lines(state: kirby.ChainState) -> list[str]:
+def _chain_lines(state) -> list[str]:
+    from .strings import format_int_string
+
     return [
-        f"framings={strings.format_int_string(state.framings)}",
+        f"framings={format_int_string(state.framings)}",
         f"eps={'+' if state.eps > 0 else '-'}",
     ]
+
+
+def _uses(layers: str, handler):
+    """``handler(args, *modules)``, with the space-separated ``layers``
+    imported when the command is dispatched."""
+    return lambda args: handler(
+        args, *[import_module(f"{__package__}.{name}") for name in layers.split()])
 
 
 # ---------------------------------------------------------------- handlers
 
 
-def _mono(args) -> list[str]:
+def _mono(args, sl2) -> list[str]:
     m = sl2.word_to_matrix(sl2.parse_word(args.word))
     lines = [f"trace={m.trace}"]
     if args.classify:
@@ -69,19 +83,19 @@ def _mono(args) -> list[str]:
     return lines
 
 
-def _family_check(args) -> list[str]:
+def _family_check(args, strings) -> list[str]:
     params = strings.recognize_family(strings.parse_int_string(args.string))
     if params is None:
         return ["member=no"]
     return [f"member=yes k={params.k} x={strings.format_int_string(params.xs)}"]
 
 
-def _plumb_form(args) -> list[str]:
+def _plumb_form(args, intmat, plumbing) -> list[str]:
     q = plumbing.intersection_form(_graph(args.graph))
     return [f"form={intmat.inline_matrix(q)}", f"det={intmat.det(q)}"]
 
 
-def _plumb_checkjoin(args) -> list[str]:
+def _plumb_checkjoin(args, plumbing) -> list[str]:
     report = plumbing.check_join_hypotheses(_graph(args.graph), args.v)
     return [
         f"boundary_s1xs2={_yes_no(report.boundary_is_s1xs2)} "
@@ -89,7 +103,7 @@ def _plumb_checkjoin(args) -> list[str]:
     ]
 
 
-def _kirby_run(args) -> list[str]:
+def _kirby_run(args, kirby) -> list[str]:
     chain = kirby.parse_chain(args.chain)
     if args.sign:
         chain = kirby.ChainState(chain.framings, _sign(args.sign))
@@ -102,7 +116,7 @@ def _kirby_run(args) -> list[str]:
     ]
 
 
-def _kirby_dualize(args) -> list[str]:
+def _kirby_dualize(args, kirby, strings) -> list[str]:
     result = kirby.dualize_procedure(strings.parse_int_string(args.string))
     return _chain_lines(result.terminal) + [
         f"blowups={result.blow_ups}",
@@ -111,7 +125,7 @@ def _kirby_dualize(args) -> list[str]:
     ]
 
 
-def _obstruct_attach(args) -> list[str]:
+def _obstruct_attach(args, intmat, obstruct, sl2) -> list[str]:
     p = obstruct.SurgeryPresentation(_matrix(args.matrix))
     k = obstruct.KnotClass(sl2._parse_list(args.kappa, "kappa-syntax"), args.framing)
     new_p, homology = obstruct.attach_two_handle(p, k)
@@ -123,12 +137,12 @@ def _obstruct_attach(args) -> list[str]:
     ]
 
 
-def _obstruct_mu(args) -> list[str]:
+def _obstruct_mu(args, intmat, obstruct) -> list[str]:
     m = _matrix(args.matrix)
     return [f"signature={intmat.signature(m)}", f"mu={obstruct.rohlin_mu(m)}"]
 
 
-def _mat_snf(args) -> list[str]:
+def _mat_snf(args, intmat) -> list[str]:
     result = intmat.snf(_matrix(args.matrix))
     return [f"{name}={intmat.inline_matrix(getattr(result, name))}" for name in "duv"]
 
@@ -152,47 +166,54 @@ GROUPS = {
 # (name, add_argument keywords).  Rows appear in --help in table order.
 COMMANDS = (
     ("dual", "dual of a string of integers >= 2", ("string",),
-     lambda a: ["dual=" + strings.format_int_string(
-         strings.dual_string(strings.parse_int_string(a.string)))]),
+     _uses("strings", lambda a, strings: ["dual=" + strings.format_int_string(
+         strings.dual_string(strings.parse_int_string(a.string)))])),
     ("mono", "monodromy word arithmetic",
      (("word", {"help": "e.g. 3,2,2 or -:2,2"}), ("--classify", _FLAG), ("--torsion", _FLAG),
-      ("--square-check", _FLAG)), _mono),
+      ("--square-check", _FLAG)), _uses("sl2", _mono)),
     ("family gen", "generate from parameters k=..;x=..", ("params",),
-     lambda a: ["string=" + strings.format_int_string(
-         strings.family_string(strings.parse_family_params(a.params)))]),
-    ("family check", "test membership of a string", ("string",), _family_check),
-    ("plumb form", "intersection form of a graph file", ("graph",), _plumb_form),
+     _uses("strings", lambda a, strings: ["string=" + strings.format_int_string(
+         strings.family_string(strings.parse_family_params(a.params)))])),
+    ("family check", "test membership of a string", ("string",), _uses("strings", _family_check)),
+    ("plumb form", "intersection form of a graph file", ("graph",),
+     _uses("intmat plumbing", _plumb_form)),
     ("plumb homology", "boundary first homology", ("graph",),
-     lambda a: [f"homology={plumbing.boundary_homology(_graph(a.graph)).describe()}"]),
+     _uses("plumbing", lambda a, plumbing: [
+         f"homology={plumbing.boundary_homology(_graph(a.graph)).describe()}"])),
     ("plumb selfjoin", "identify two vertices of a tree",
      ("graph", ("--v1", _REQUIRED), ("--v2", _REQUIRED), ("--sign", {**_SIGN, **_REQUIRED})),
-     lambda a: plumbing.format_graph(
-         plumbing.self_join(_graph(a.graph), a.v1, a.v2, _sign(a.sign))).splitlines()),
+     _uses("plumbing", lambda a, plumbing: plumbing.format_graph(
+         plumbing.self_join(_graph(a.graph), a.v1, a.v2, _sign(a.sign))).splitlines())),
     ("plumb join", "join two trees at distinguished vertices",
      ("graph", "graph2", ("--v1", _REQUIRED), ("--v2", _REQUIRED)),
-     lambda a: plumbing.format_graph(
-         plumbing.join(_graph(a.graph), a.v1, _graph(a.graph2), a.v2)).splitlines()),
+     _uses("plumbing", lambda a, plumbing: plumbing.format_graph(
+         plumbing.join(_graph(a.graph), a.v1, _graph(a.graph2), a.v2)).splitlines())),
     ("plumb checkjoin", "join-transfer hypotheses at a vertex",
-     ("graph", ("--v", _REQUIRED)), _plumb_checkjoin),
+     ("graph", ("--v", _REQUIRED)), _uses("plumbing", _plumb_checkjoin)),
     ("kirby run", "apply a move script to a chain",
      (("chain", {"help": "e.g. -3,-1,-3"}), ("--sign", _SIGN), ("--script", _REQUIRED)),
-     _kirby_run),
-    ("kirby dualize", "two-block normal form of a family chain", ("string",), _kirby_dualize),
+     _uses("kirby", _kirby_run)),
+    ("kirby dualize", "two-block normal form of a family chain", ("string",),
+     _uses("kirby strings", _kirby_dualize)),
     ("obstruct square", "square-order necessary condition", (("n", {"type": int}),),
-     lambda a: [f"verdict={'pass' if obstruct.square_order_obstruction(a.n) else 'fail'}"]),
+     _uses("obstruct", lambda a, obstruct: [
+         f"verdict={'pass' if obstruct.square_order_obstruction(a.n) else 'fail'}"])),
     ("obstruct attach", "border a linking matrix by a knot class",
      ("matrix", ("--kappa", _REQUIRED), ("--framing", {"type": int, **_REQUIRED})),
-     _obstruct_attach),
-    ("obstruct mu", "Rohlin bit of an even unimodular form", ("matrix",), _obstruct_mu),
+     _uses("intmat obstruct sl2", _obstruct_attach)),
+    ("obstruct mu", "Rohlin bit of an even unimodular form", ("matrix",),
+     _uses("intmat obstruct", _obstruct_mu)),
     ("ledger eval", "evaluate word:/graph:/build: descriptor", ("descriptor",),
-     lambda a: [ledger.format_entry(ledger.evaluate_descriptor(a.descriptor, Path.cwd()))]),
+     _uses("ledger", lambda a, ledger: [
+         ledger.format_entry(ledger.evaluate_descriptor(a.descriptor, Path.cwd()))])),
     ("mat det", "exact determinant", ("matrix",),
-     lambda a: [f"det={intmat.det(_matrix(a.matrix))}"]),
-    ("mat snf", "Smith normal form with certificates", ("matrix",), _mat_snf),
+     _uses("intmat", lambda a, intmat: [f"det={intmat.det(_matrix(a.matrix))}"])),
+    ("mat snf", "Smith normal form with certificates", ("matrix",), _uses("intmat", _mat_snf)),
     ("mat group", "cokernel as an abelian group", ("matrix",),
-     lambda a: [f"group={intmat.abelian_group_of(_matrix(a.matrix)).describe()}"]),
+     _uses("intmat", lambda a, intmat: [
+         f"group={intmat.abelian_group_of(_matrix(a.matrix)).describe()}"])),
     ("mat signature", "signature of a symmetric matrix", ("matrix",),
-     lambda a: [f"signature={intmat.signature(_matrix(a.matrix))}"]),
+     _uses("intmat", lambda a, intmat: [f"signature={intmat.signature(_matrix(a.matrix))}"])),
 )
 
 

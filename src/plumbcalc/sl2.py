@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .intmat import is_perfect_square
 
 __all__ = [
     "SL2Element",
@@ -148,6 +147,8 @@ def torsion_order(m: SL2Element) -> int:
 def square_trace_check(m: SL2Element) -> tuple[int, bool]:
     """For hyperbolic ``m``: the torsion order tr^2 - 4 of the squared bundle,
     and whether it is a perfect square (it never is for tr > 2)."""
+    from .intmat import is_perfect_square
+
     t = m.trace
     if abs(t) <= 2:
         raise DomainError("not-hyperbolic", "square-trace check needs |tr| > 2")

@@ -11,7 +11,6 @@ decrementing its two ends, is dual to the second segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContractError, DomainError
 from .sl2 import MonodromyWord, _format_list, _parse_list, word_to_matrix
@@ -63,9 +62,11 @@ def _check_dual_input(b: tuple[int, ...]) -> None:
         raise DomainError("bad-string", "dual-string calculus needs entries >= 2")
 
 
-def cf_value(b) -> Fraction:
+def cf_value(b):
     """Negative continued fraction b_1 - 1/(b_2 - 1/(...)) as a reduced
-    fraction p/q with p > q >= 1.  Independent oracle for the dual rule."""
+    ``Fraction`` p/q with p > q >= 1.  Independent oracle for the dual rule."""
+    from fractions import Fraction
+
     b = tuple(b)
     _check_dual_input(b)
     val = Fraction(b[-1])

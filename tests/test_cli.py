@@ -509,3 +509,115 @@ class TestListSyntaxCodes:
         matrix.write_text("1 1\n0\n")
         out = invoke(capsys, "obstruct", "attach", str(matrix), "--kappa", "2,", "--framing", "1")
         assert out[:2] == (1, "error=kappa-syntax\n")
+
+
+def _child(argv, cwd):
+    """Run ``python <argv>`` in a fresh interpreter that finds plumbcalc where
+    this test process found it."""
+    import os
+    import subprocess
+    import sys
+
+    import plumbcalc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(plumbcalc.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, cwd=cwd, env=env
+    )
+
+
+class TestImportSets:
+    """A launch imports only the layers its command uses: the exact set of
+    ``plumbcalc.*`` modules loaded, in a fresh interpreter."""
+
+    LOADED = (
+        "print(*sorted(m.partition('.')[2] for m in sys.modules if m.startswith('plumbcalc.')))"
+    )
+    # run ``python -m plumbcalc <argv>`` in-process, then print its exit
+    # code and the loaded ``plumbcalc.*`` modules
+    PROBE = (
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['plumbcalc', *sys.argv[1:]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('plumbcalc', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code)\n" + LOADED
+    )
+    BASE = {"cli", "errors"}
+    CASES = {
+        "--help": (["--help"], BASE),
+        "mono": (["mono", "3", "--torsion"], BASE | {"sl2"}),
+        "dual": (["dual", "2,2,2"], BASE | {"sl2", "strings"}),
+        "family check": (["family", "check", "3,3,3"], BASE | {"sl2", "strings"}),
+        "kirby dualize": (["kirby", "dualize", "3,3,3"], BASE | {"sl2", "strings", "kirby"}),
+        "obstruct square": (["obstruct", "square", "3"], BASE | {"intmat", "obstruct"}),
+        "mat det": (["mat", "det", "m.mat"], BASE | {"intmat"}),
+        "plumb homology": (["plumb", "homology", "seed.graph"], BASE | {"intmat", "plumbing", "sl2"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_command(self, tmp_path, case):
+        (tmp_path / "m.mat").write_text("2 2\n2 1\n1 2\n")
+        (tmp_path / "seed.graph").write_text(SEED_PATH_TEXT)
+        argv, layers = self.CASES[case]
+        result = _child(["-c", self.PROBE, *argv], tmp_path)
+        assert result.stdout.split() == ["0", *sorted(layers)]
+
+    @pytest.mark.parametrize("code, layers", [
+        ("import plumbcalc", []),
+        ("import plumbcalc; plumbcalc.det", ["errors", "intmat"]),
+    ])
+    def test_package(self, tmp_path, code, layers):
+        result = _child(["-c", f"{code}; import sys; {self.LOADED}"], tmp_path)
+        assert result.stdout.split() == layers
+
+
+class TestEveryCommandRunsCold:
+    """Each row of ``COMMANDS`` as its own ``python -m plumbcalc`` process:
+    a handler that finds its layer only because another command (or a test)
+    imported it first fails here."""
+
+    CASES = {
+        "dual": ["2,2,2"],
+        "mono": ["3", "--classify", "--torsion", "--square-check"],
+        "family gen": ["k=1;x=0,0,0"],
+        "family check": ["3,3,3"],
+        "plumb form": ["seed.graph"],
+        "plumb homology": ["seed.graph"],
+        "plumb selfjoin": ["seed.graph", "--v1", "a", "--v2", "d", "--sign", "-"],
+        "plumb join": ["seed.graph", "single.graph", "--v1", "d", "--v2", "z"],
+        "plumb checkjoin": ["seed.graph", "--v", "b"],
+        "kirby run": ["chain -2,-2 sign=+", "--script", "moves.txt"],
+        "kirby dualize": ["3,3,3"],
+        "obstruct square": ["4"],
+        "obstruct attach": ["zero.mat", "--kappa", "2", "--framing", "1"],
+        "obstruct mu": ["h.mat"],
+        "ledger eval": ["word:2,2,3"],
+        "mat det": ["m.mat"],
+        "mat snf": ["m.mat"],
+        "mat group": ["m.mat"],
+        "mat signature": ["h.mat"],
+    }
+
+    def test_every_row_has_a_case(self):
+        from plumbcalc.cli import COMMANDS
+
+        assert [row[0] for row in COMMANDS] == list(self.CASES)
+
+    @pytest.mark.parametrize("path", list(CASES))
+    def test_cold(self, capsys, monkeypatch, tmp_path, path):
+        files = {
+            "seed.graph": SEED_PATH_TEXT, "single.graph": "vertex z -1\n",
+            "moves.txt": "up 0 -1\ndown 1\n", "zero.mat": "1 1\n0\n",
+            "h.mat": "2 2\n0 1\n1 0\n", "m.mat": "3 3\n-2 1 -1\n1 -2 1\n-1 1 -2\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [*path.split(), *self.CASES[path]]
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        result = _child(["-m", "plumbcalc", *argv], tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, out, "")

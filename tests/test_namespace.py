@@ -84,3 +84,20 @@ def test_no_name_in_two_layers():
 
 def test_version():
     assert plumbcalc.__version__ == "0.1.0"
+
+
+def test_dir_lists_every_public_name():
+    listed = set(dir(plumbcalc))
+    for module in LAYERS.values():
+        assert set(module.__all__) <= listed, module.__name__
+
+
+def test_unknown_name():
+    assert not hasattr(plumbcalc, "no_such_name")
+    with pytest.raises(AttributeError, match="module 'plumbcalc' has no attribute 'no_such_name'"):
+        plumbcalc.no_such_name
+
+
+def test_second_lookup_is_the_same_object():
+    for name in ("det", "dual_string", "Construction", "DomainError"):
+        assert getattr(plumbcalc, name) is getattr(plumbcalc, name)
