@@ -2,15 +2,20 @@
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here
 touches floating point or fractions.  One fraction-free (Bareiss) pass gives
-the determinant, the rank and the signature; Smith reduction starts over
-with Hermite forms kept reduced should its entries outgrow the Hadamard
-bound of its input.  This is the kernel that the monodromy, plumbing and
-obstruction layers build on.
+the determinant, the rank and the signature.  A square symmetric matrix of
+at least ``_SPARSE_MIN`` (80) rows with at most 3n nonzeros, such as a
+plumbing form, gets its determinant and signature from the same elimination
+on its nonzeros instead, pivoting in least-degree order.  Smith reduction
+starts over with Hermite forms kept reduced should its entries outgrow the
+Hadamard bound of its input.  This is the kernel that the monodromy,
+plumbing and obstruction layers build on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress, islice
 from math import inf, isqrt
 
 from .errors import DomainError
@@ -211,6 +216,60 @@ def _bareiss(a: list[list[int]], symmetric: bool = False) -> tuple[list[int], in
     return minors, sign
 
 
+def _sparse_minors(rows: list[dict[int, int]]) -> list[int]:
+    """Symmetric fraction-free elimination of a symmetric matrix stored as
+    rows ``{column: nonzero entry}`` (consumed); returns the minors that
+    ``_bareiss(a, symmetric=True)`` gives on a symmetric permutation of it.
+    Each pivot is a live row with the fewest nonzeros and a nonzero diagonal
+    (minimum degree, from a heap whose stale entries are skipped): on a tree
+    that eliminates leaves first, and on a cycle every row keeps at most
+    three nonzeros.  Rows keep the lazy ``base`` of ``_bareiss``.  With no
+    diagonal left, a row and its sparsest neighbour split off as a
+    hyperbolic pair; a row left empty adds nothing to the rank."""
+    base, minors = [1] * len(rows), [1]
+    heap = [(not r.get(i), len(r), i) for i, r in enumerate(rows)]
+    heapify(heap)
+    while heap:
+        zero, size, i = heappop(heap)
+        ri = rows[i]
+        if ri is None or (zero, size) != (not ri.get(i), len(ri)):
+            continue  # stale: the row is gone or has changed since
+        rows[i], prev = None, minors[-1]
+        if not size:
+            continue
+        if base[i] != prev:
+            ri = {c: v * prev // base[i] for c, v in ri.items()}
+        if zero:  # the pair [[0, b], [b, 0]]: D_(k+2) = -b^2 / D_k
+            j = min(ri, key=lambda c: len(rows[c]))
+            rj, rows[j] = rows[j], None
+            if base[j] != prev:
+                rj = {c: v * prev // base[j] for c, v in rj.items()}
+            b, _ = ri.pop(j), rj.pop(i)
+            s, nbrs = -b * b, ri.keys() | rj
+            minors += [0, s // prev]
+        else:
+            s, nbrs = ri.pop(i), ri
+            minors.append(s)
+        for r in nbrs:  # row r becomes (s row - x w) / d
+            row = rows[r]
+            key = (not row.get(r), len(row))
+            if zero:
+                x, y = row.pop(i, 0), row.pop(j, 0)
+                w = {c: -b * (x * rj.get(c, 0) + y * ri.get(c, 0)) for c in nbrs}
+                x, d = 1, prev * base[r]
+            else:
+                x, w, d = row.pop(i), ri, base[r]
+            new = {c: (s * v - x * w.get(c, 0)) // d for c, v in row.items()}
+            for c in w.keys() - new.keys():
+                new[c] = -x * w[c] // d
+            if 0 in new.values():
+                new = {c: v for c, v in new.items() if v}
+            rows[r], base[r] = new, minors[-1]
+            if key != (not new.get(r), len(new)):  # else its heap entry still holds
+                heappush(heap, (not new.get(r), len(new), r))
+    return minors
+
+
 def _axpy(dst: list[int], src: list[int], c: int) -> None:
     """``dst += c * src`` in place."""
     for j, y in enumerate(src):
@@ -383,11 +442,35 @@ def snf(m: IntMatrix) -> SNFResult:
     )
 
 
+# Below this size the dense loops win.  On path and cycle forms (weights -2
+# to -4; least of 25 interleaved runs, 2-vCPU VM, Python 3.11) the sparse
+# path's det and signature cost 2.0-2.6x Bareiss's at n = 16, 1.3-1.9x at
+# 32, 0.8-1.3x at 64, 0.8-1.07x at 80 and 0.5-0.8x at 128.
+_SPARSE_MIN = 80
+
+
+def _sparse_rows(m: IntMatrix) -> list[dict[int, int]] | None:
+    """Rows ``{column: entry}`` of ``m`` when it is symmetric, has at least
+    ``_SPARSE_MIN`` rows and at most three nonzeros a row on average (the
+    shape of a plumbing form); else None.  The zeros are counted and
+    skipped at C speed, so the cost past that scan is O(nonzeros)."""
+    n, e = m.rows, m.entries
+    if m.cols != n or n < _SPARSE_MIN or n * n - e.count(0) > 3 * n:
+        return None
+    cols, flat = tuple(range(n)), iter(e)
+    rows = [{j: e[a + j] for j in compress(cols, islice(flat, n))} for a in range(0, n * n, n)]
+    if any(rows[j].get(i) != x for i, row in enumerate(rows) for j, x in row.items()):
+        return None
+    return rows
+
+
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free elimination: ``_sparse_minors``
+    on a large sparse symmetric matrix, else Bareiss."""
     if not m.is_square:
         raise DomainError("non-square", "determinant needs a square matrix")
-    minors, sign = _bareiss(m.to_rows())
+    rows = _sparse_rows(m)
+    minors, sign = _bareiss(m.to_rows()) if rows is None else (_sparse_minors(rows), 1)
     return sign * minors[-1] if len(minors) > m.rows else 0
 
 
@@ -409,14 +492,15 @@ def abelian_group_of(m: IntMatrix) -> AbelianGroupDesc:
 
 def signature(m: IntMatrix) -> int:
     """Signature of a symmetric matrix by Sylvester's rule: symmetric
-    Bareiss elimination gives the leading minors ``D_k`` of a congruent
-    matrix, each single step adds the sign of ``D_(k-1) D_k`` and each
-    hyperbolic pair adds 0."""
+    elimination (``_sparse_minors`` or Bareiss, as for :func:`det`) gives
+    the leading minors ``D_k`` of a congruent matrix, each single step adds
+    the sign of ``D_(k-1) D_k`` and each hyperbolic pair adds 0."""
     if not m.is_square:
         raise DomainError("non-square", "signature needs a square matrix")
-    if not m.is_symmetric:
+    rows = _sparse_rows(m)
+    if rows is None and not m.is_symmetric:
         raise DomainError("non-symmetric", "signature needs a symmetric matrix")
-    minors = _bareiss(m.to_rows(), symmetric=True)[0]
+    minors = _bareiss(m.to_rows(), symmetric=True)[0] if rows is None else _sparse_minors(rows)
     return sum((x * y > 0) - (x * y < 0) for x, y in zip(minors, minors[1:]))
 
 

@@ -21,21 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .intmat import AbelianGroupDesc, det, is_perfect_square
-from .plumbing import (
-    PlumbingGraph,
-    boundary_homology,
-    canonical_key,
-    check_join_hypotheses,
-    cycle_traversal,
-    intersection_form,
-    is_pure_cycle,
-    join,
-    parse_graph,
-    self_join,
-)
 from .sl2 import (
     MonodromyWord,
     _token_lines,
@@ -45,6 +34,9 @@ from .sl2 import (
     word_to_matrix,
 )
 from .strings import format_int_string, recognize_family
+
+if TYPE_CHECKING:  # a word descriptor never loads plumbing: its users import it
+    from .plumbing import PlumbingGraph
 
 __all__ = [
     "STATUS_BOUNDS",
@@ -77,6 +69,8 @@ def _word_descriptor(w: MonodromyWord) -> str:
 
 
 def _graph_descriptor(g: PlumbingGraph) -> str:
+    from .plumbing import canonical_key
+
     return f"graph:{canonical_key(g)}"
 
 
@@ -109,6 +103,8 @@ def evaluate_word(w: MonodromyWord) -> LedgerEntry:
 
 def evaluate_graph(g: PlumbingGraph) -> LedgerEntry:
     """Certify or obstruct a plumbing graph with no construction history."""
+    from .plumbing import boundary_homology, cycle_traversal, is_pure_cycle
+
     descriptor = _graph_descriptor(g)
     if is_pure_cycle(g):
         # pure cycle: defer to the word-level rules via the traversal word
@@ -146,11 +142,15 @@ class Construction:
         return graph
 
     def add_join(self, name: str, left: str, v1: str, right: str, v2: str) -> PlumbingGraph:
+        from .plumbing import join
+
         g = join(self.graph(left), v1, self.graph(right), v2)
         self._record(name, g, ("join", left, v1, right, v2))
         return g
 
     def add_self_join(self, name: str, src: str, v1: str, v2: str, sign: int) -> PlumbingGraph:
+        from .plumbing import self_join
+
         g = self_join(self.graph(src), v1, v2, sign)
         self._record(name, g, ("selfjoin", src, v1, v2, sign))
         return g
@@ -191,6 +191,8 @@ class Construction:
         """The rules for one step, as a generator: it yields the name of each
         operand whose verdict it consults, is sent that verdict, and returns
         the step's entry."""
+        from .plumbing import check_join_hypotheses, intersection_form
+
         graph = self.graph(name)
         step = self._steps[name]
         if step[0] == "selfjoin":
@@ -230,6 +232,8 @@ def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Constru
     Graph-file paths resolve relative to ``base_dir``.  Returns the
     construction and the target name (defaults to the last definition).
     """
+    from .plumbing import parse_graph
+
     base = base_dir or Path(".")
     build = Construction()
     target: str | None = None
@@ -278,6 +282,8 @@ def evaluate_descriptor(text: str, base_dir: Path | None = None) -> LedgerEntry:
         return evaluate_word(parse_word(text[len("word:"):]))
     base = base_dir or Path(".")
     if text.startswith("graph:"):
+        from .plumbing import parse_graph
+
         path = base / text[len("graph:"):]
         try:
             return evaluate_graph(parse_graph(path.read_text(encoding="utf-8")))

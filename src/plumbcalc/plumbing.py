@@ -209,17 +209,13 @@ def intersection_form(g: PlumbingGraph) -> IntMatrix:
     off-diagonal = sum of edge signs between the two vertices."""
     index = {n: i for i, n in enumerate(g.names)}
     n = len(g.vertices)
-    q = [[0] * n for _ in range(n)]
-    for i, (_, w) in enumerate(g.vertices):
-        q[i][i] = w
-    for u, v, s in g.edges:
+    q = [0] * (n * n)
+    q[::n + 1] = [w for _, w in g.vertices]
+    for u, v, s in g.edges:  # a self-loop adds its sign twice
         i, j = index[u], index[v]
-        if i == j:
-            q[i][i] += 2 * s
-        else:
-            q[i][j] += s
-            q[j][i] += s
-    return IntMatrix(n, n, tuple(x for row in q for x in row))
+        q[i * n + j] += s
+        q[j * n + i] += s
+    return IntMatrix(n, n, tuple(q))
 
 
 def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:

@@ -555,6 +555,7 @@ class TestImportSets:
         "obstruct square": (["obstruct", "square", "3"], BASE | {"intmat", "obstruct"}),
         "mat det": (["mat", "det", "m.mat"], BASE | {"intmat"}),
         "plumb homology": (["plumb", "homology", "seed.graph"], BASE | {"intmat", "plumbing", "sl2"}),
+        "ledger eval": (["ledger", "eval", "word:2,2,3"], BASE | {"intmat", "ledger", "sl2", "strings"}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plumbcalc.intmat as intmat
 from plumbcalc.errors import DomainError
 from plumbcalc.intmat import (
+    _SPARSE_MIN,
     AbelianGroupDesc,
     IntMatrix,
     abelian_group_of,
@@ -17,9 +19,17 @@ from plumbcalc.intmat import (
     signature,
     smith_diagonal,
     snf,
+    _bareiss,
+    _sparse_minors,
 )
 
-from conftest import HYPERBOLIC_PLANE_ROWS, cofactor_det, random_unimodular
+from conftest import (
+    E8_ROWS,
+    HYPERBOLIC_PLANE_ROWS,
+    best_cpu_seconds,
+    cofactor_det,
+    random_unimodular,
+)
 from test_crosschecks import _signature_by_charpoly
 
 
@@ -381,3 +391,141 @@ class TestBareissRankAndSignature:
             assert rank(a) == Matrix(a.to_rows()).rank()
             low = IntMatrix.from_rows([[2 * x for x in a.to_rows()[0]]] + a.to_rows()[:1])
             assert rank(low) == 1
+
+
+def _form(weights, edges):
+    """The plumbing form of a graph: weights on the diagonal, each edge
+    ``(u, v, sign)`` adding its sign to both (u, v) entries, or twice it to
+    the diagonal when ``u == v``."""
+    n = len(weights)
+    q = [0] * (n * n)
+    q[::n + 1] = weights
+    for u, v, s in edges:
+        q[u * n + v] += s
+        q[v * n + u] += s
+    return IntMatrix(n, n, tuple(q))
+
+
+def _cycle(n, weight):
+    return _form([weight] * n, [(i, (i + 1) % n, 1) for i in range(n)])
+
+
+def _sylvester(minors):
+    return sum((x * y > 0) - (x * y < 0) for x, y in zip(minors, minors[1:]))
+
+
+def _kernel(m):
+    """``_sparse_minors`` on ``m`` whatever its size."""
+    return _sparse_minors([{j: x for j, x in enumerate(r) if x} for r in m.to_rows()])
+
+
+def _oracle(m):
+    """(rank, det, signature) by dense Bareiss."""
+    minors, sign = _bareiss(m.to_rows())
+    sym = _bareiss(m.to_rows(), symmetric=True)[0]
+    assert len(sym) == len(minors)
+    return len(minors) - 1, sign * minors[-1] if len(minors) > m.rows else 0, _sylvester(sym)
+
+
+@st.composite
+def plumbing_forms(draw):
+    """Forms of forests (several components), plus a few extra edges that
+    close cycles, join components, double a tree edge (cancelling to 0 or
+    adding to 2) or are self-loops (diagonal +-2); weights -3..3.  Sizes
+    fall on both sides of the sparse cutoff."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(_SPARSE_MIN - 8, _SPARSE_MIN + 24)))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    sign = st.sampled_from((-1, 1))
+    links = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 2**16), sign),
+                          min_size=n - 1, max_size=n - 1))
+    edges = [(v, k % v, s) for v, (linked, k, s) in enumerate(links, 1) if linked]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), sign)
+    edges += draw(st.lists(extra, max_size=3))
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    return _form(weights, edges)
+
+
+class TestSparseKernel:
+    """``_sparse_minors`` against dense Bareiss, and which inputs take it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plumbing_forms())
+    def test_matches_bareiss(self, m):
+        r, d, sig = _oracle(m)
+        minors = _kernel(m)
+        assert len(minors) - 1 == r
+        assert (minors[-1] if len(minors) > m.rows else 0) == d
+        assert _sylvester(minors) == sig
+        assert (det(m), signature(m)) == (d, sig)
+
+    def test_zero_weight_cycle_takes_only_hyperbolic_steps(self):
+        m = _cycle(100, 0)
+        minors = _kernel(m)
+        assert len(minors) == 99 and minors[1::2] == [0] * 49
+        assert (len(minors) - 1, 0, _sylvester(minors)) == _oracle(m) == (98, 0, 0)
+        assert (det(m), signature(m)) == (0, 0)
+
+    def test_hyperbolic_partner_over_an_older_minor(self):
+        # vertex 2 cancels the diagonal of vertex 1 and leaves it over the
+        # minor 1; the 3-4 edge moves the minor on to 8; then the zero
+        # 4-cycle 0-1-5-6 pairs 0 with 1, whose row must be rescaled to 8
+        m = _form([0, 1, 1, 3, 3, 0, 0], [(0, 1, 1), (1, 5, 1), (5, 6, 1), (6, 0, 1),
+                                         (1, 2, 1), (3, 4, 1)])
+        minors = _kernel(m)
+        assert minors[:5] == [1, 1, 3, 8, 0]
+        assert (len(minors) - 1, 0, _sylvester(minors)) == _oracle(m) == (5, 0, 3)
+
+    def test_singular_path_stops_early(self):
+        # weights +1: the path's determinants run 1, 0, -1, -1, 0, 1, ...
+        m = _form([1] * 128, [(i, i + 1, 1) for i in range(127)])
+        minors = _kernel(m)
+        assert len(minors) == 128
+        assert (127, 0, _sylvester(minors)) == _oracle(m)
+        assert (det(m), signature(m)) == (0, _sylvester(minors))
+
+    def test_e8_sum_with_hyperbolic_planes(self):
+        m = _block_sum(*[E8_ROWS] * 8, HYPERBOLIC_PLANE_ROWS, HYPERBOLIC_PLANE_ROWS)
+        assert m.rows == 68
+        minors = _kernel(m)
+        assert (minors[-1], _sylvester(minors)) == (1, 64)
+        assert (det(m), signature(m)) == (1, 64)
+        assert _oracle(m) == (68, 1, 64)
+
+    @pytest.mark.parametrize("x", [1, -1])
+    def test_sparse_non_symmetric(self, x):
+        rows = _cycle(100, -3).to_rows()
+        rows[0][1] += x  # 2: a value no longer symmetric; 0: the pattern
+        m = mat(rows)
+        minors, sign = _bareiss(m.to_rows())
+        assert det(m) == sign * minors[-1]
+        with pytest.raises(DomainError) as err:
+            signature(m)
+        assert err.value.code == "non-symmetric"
+
+    def test_routing(self, monkeypatch):
+        sparse = [_cycle(100, -3), _cycle(_SPARSE_MIN, 0)]  # 3n nonzeros
+        expected = [(det(m), signature(m)) for m in sparse]
+        dense = mat([[(i + j) % 5 - 2 or 3 for j in range(5)] for i in range(5)])
+        path = _form([-2] * 40, [(i, i + 1, 1) for i in range(39)])
+        chord = _form([-3] * 100, [(i, (i + 1) % 100, 1) for i in range(100)] + [(0, 50, 1)])
+
+        def no_bareiss(*args, **kwargs):
+            raise AssertionError("dense elimination")
+
+        monkeypatch.setattr(intmat, "_bareiss", no_bareiss)
+        assert [(det(m), signature(m)) for m in sparse] == expected
+        for m in (dense, path, _cycle(_SPARSE_MIN - 1, 0), chord):
+            assert m.is_symmetric
+            for fn in (det, signature):
+                with pytest.raises(AssertionError):
+                    fn(m)
+
+    def test_cpu_ratio_on_800_cycle(self):
+        # the word 3,3,...,3: O(n) pivots after one scan of the n^2 entries,
+        # against Bareiss's O(n^2) work on the same matrix
+        m = _cycle(800, -3)
+        bareiss_det = best_cpu_seconds(lambda: _bareiss(m.to_rows()))
+        assert best_cpu_seconds(lambda: det(m)) * 2.5 <= bareiss_det
+        bareiss_sig = best_cpu_seconds(lambda: _bareiss(m.to_rows(), symmetric=True))
+        assert best_cpu_seconds(lambda: signature(m)) * 2.5 <= bareiss_sig

@@ -71,7 +71,8 @@ def test_every_public_name_resolves(layer):
 def test_star_import_binds_the_union():
     namespace = {}
     exec("from plumbcalc import *", namespace)
-    # the package keeps no ``__all__`` of its own, so its submodules come along
+    # the package's ``__all__``, resolved lazily, is the union of the
+    # layers', so no submodule comes along; the filter only guards that
     bound = {name for name, value in namespace.items() if not isinstance(value, ModuleType)}
     assert bound - {"__builtins__"} == {name for module in LAYERS.values() for name in module.__all__}
 
