@@ -8,7 +8,8 @@ rewriting of framed chains, and homological obstructions.
 The package namespace is the union of the layers' ``__all__`` lists, resolved
 lazily (PEP 562): a public name is looked up in each layer's ``__all__`` in
 the order of ``_LAYERS``, and a layer is imported only when the lookup
-reaches it.  A layer's own name (``cli`` included) resolves to that module.
+reaches it.  A layer's own name (``cli`` included) resolves to that module;
+layers that load another only on demand call it as ``pc.<layer>.<name>``.
 """
 
 from importlib import import_module as _import_module

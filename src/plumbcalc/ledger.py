@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import plumbcalc as pc
+
 from .errors import DomainError
 from .intmat import AbelianGroupDesc, det, is_perfect_square
 from .sl2 import (
@@ -35,7 +37,7 @@ from .sl2 import (
 )
 from .strings import format_int_string, recognize_family
 
-if TYPE_CHECKING:  # a word descriptor never loads plumbing: its users import it
+if TYPE_CHECKING:  # a word descriptor never loads plumbing: its users reach it as pc.plumbing
     from .plumbing import PlumbingGraph
 
 __all__ = [
@@ -69,9 +71,7 @@ def _word_descriptor(w: MonodromyWord) -> str:
 
 
 def _graph_descriptor(g: PlumbingGraph) -> str:
-    from .plumbing import canonical_key
-
-    return f"graph:{canonical_key(g)}"
+    return f"graph:{pc.plumbing.canonical_key(g)}"
 
 
 def _square_fallback(torsion: int, context: str) -> tuple[str, str]:
@@ -103,16 +103,14 @@ def evaluate_word(w: MonodromyWord) -> LedgerEntry:
 
 def evaluate_graph(g: PlumbingGraph) -> LedgerEntry:
     """Certify or obstruct a plumbing graph with no construction history."""
-    from .plumbing import boundary_homology, cycle_traversal, is_pure_cycle
-
     descriptor = _graph_descriptor(g)
-    if is_pure_cycle(g):
+    if pc.plumbing.is_pure_cycle(g):
         # pure cycle: defer to the word-level rules via the traversal word
-        weights, sign = cycle_traversal(g)
+        weights, sign = pc.plumbing.cycle_traversal(g)
         word = MonodromyWord(tuple(-w for w in weights), sign)
         entry = evaluate_word(word)
         return LedgerEntry(descriptor, entry.status, entry.reason)
-    homology = boundary_homology(g)
+    homology = pc.plumbing.boundary_homology(g)
     if g.is_tree() and homology == AbelianGroupDesc(1, ()):
         return LedgerEntry(descriptor, STATUS_BOUNDS, "s1xs2-base(homology-level)")
     status, reason = _square_fallback(homology.torsion_order, "no-certificate")
@@ -142,16 +140,12 @@ class Construction:
         return graph
 
     def add_join(self, name: str, left: str, v1: str, right: str, v2: str) -> PlumbingGraph:
-        from .plumbing import join
-
-        g = join(self.graph(left), v1, self.graph(right), v2)
+        g = pc.plumbing.join(self.graph(left), v1, self.graph(right), v2)
         self._record(name, g, ("join", left, v1, right, v2))
         return g
 
     def add_self_join(self, name: str, src: str, v1: str, v2: str, sign: int) -> PlumbingGraph:
-        from .plumbing import self_join
-
-        g = self_join(self.graph(src), v1, v2, sign)
+        g = pc.plumbing.self_join(self.graph(src), v1, v2, sign)
         self._record(name, g, ("selfjoin", src, v1, v2, sign))
         return g
 
@@ -191,14 +185,12 @@ class Construction:
         """The rules for one step, as a generator: it yields the name of each
         operand whose verdict it consults, is sent that verdict, and returns
         the step's entry."""
-        from .plumbing import check_join_hypotheses, intersection_form
-
         graph = self.graph(name)
         step = self._steps[name]
         if step[0] == "selfjoin":
             src_entry = yield step[1]
             if src_entry.status == STATUS_BOUNDS:
-                q_det = det(intersection_form(graph))
+                q_det = det(pc.plumbing.intersection_form(graph))
                 if q_det != 0:
                     return LedgerEntry(
                         _graph_descriptor(graph),
@@ -211,7 +203,7 @@ class Construction:
                 other_entry = yield other
                 if other_entry.status != STATUS_BOUNDS:
                     continue
-                if check_join_hypotheses(self.graph(pivot), pivot_v).all_pass:
+                if pc.plumbing.check_join_hypotheses(self.graph(pivot), pivot_v).all_pass:
                     return LedgerEntry(
                         _graph_descriptor(graph),
                         STATUS_BOUNDS,
@@ -232,8 +224,6 @@ def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Constru
     Graph-file paths resolve relative to ``base_dir``.  Returns the
     construction and the target name (defaults to the last definition).
     """
-    from .plumbing import parse_graph
-
     base = base_dir or Path(".")
     build = Construction()
     target: str | None = None
@@ -241,7 +231,7 @@ def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Constru
         try:
             if parts[0] == "tree" and len(parts) == 3:
                 path = base / parts[2]
-                build.add_tree(parts[1], parse_graph(path.read_text(encoding="utf-8")))
+                build.add_tree(parts[1], pc.plumbing.parse_graph(path.read_text(encoding="utf-8")))
             elif parts[0] == "join" and len(parts) == 6:
                 build.add_join(parts[1], parts[2], parts[3], parts[4], parts[5])
             elif parts[0] == "selfjoin" and len(parts) == 6 and parts[5] in ("+", "-"):
@@ -278,28 +268,23 @@ def evaluate_descriptor(text: str, base_dir: Path | None = None) -> LedgerEntry:
     sugar = _parse_parabolic_sugar(text)
     if sugar is not None:
         return evaluate_word(sugar)
-    if text.startswith("word:"):
-        return evaluate_word(parse_word(text[len("word:"):]))
-    base = base_dir or Path(".")
-    if text.startswith("graph:"):
-        from .plumbing import parse_graph
-
-        path = base / text[len("graph:"):]
-        try:
-            return evaluate_graph(parse_graph(path.read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DomainError("descriptor-io", str(exc)) from exc
-    if text.startswith("build:"):
-        path = base / text[len("build:"):]
-        try:
-            build, target = parse_construction(path.read_text(encoding="utf-8"), path.parent)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DomainError("descriptor-io", str(exc)) from exc
-        return build.evaluate(target)
-    raise DomainError(
-        "descriptor-syntax",
-        "descriptor must start with word:, graph:, build:, or be -T^<n>",
-    )
+    kind, colon, rest = text.partition(":")
+    if not colon or kind not in ("word", "graph", "build"):
+        raise DomainError(
+            "descriptor-syntax",
+            "descriptor must start with word:, graph:, build:, or be -T^<n>",
+        )
+    if kind == "word":
+        return evaluate_word(parse_word(rest))
+    path = (base_dir or Path(".")) / rest
+    try:
+        source = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError("descriptor-io", str(exc)) from exc
+    if kind == "graph":
+        return evaluate_graph(pc.plumbing.parse_graph(source))
+    build, target = parse_construction(source, path.parent)
+    return build.evaluate(target)
 
 
 def format_entry(entry: LedgerEntry) -> str:

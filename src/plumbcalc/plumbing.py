@@ -177,17 +177,7 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     product is preserved and the negative edge (if any) lands on the first
     cycle edge in declaration order.
     """
-    _, parent, forest = _spanning_forest(g)
-    cycle: list[int] = []
-    for _, extra in forest:
-        if extra:
-            # the leftover edge, then the tree path from its far end up to the root
-            u, x, _ = g.edges[extra[0]]
-            cycle.append(extra[0])
-            while x != u:
-                x, i = parent[x]
-                cycle.append(i)
-    cycle.sort()
+    cycle = sorted(i for _, i in _cycle(g))
     negatives = [i for i in cycle if g.edges[i][2] < 0]
     if len(negatives) <= 1:
         return g
@@ -261,13 +251,27 @@ def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:
     return AbelianGroupDesc(coker.free_rank + cycles, coker.torsion_factors)
 
 
+def _cycle(g: PlumbingGraph) -> list[tuple[str, int]]:
+    """The unique cycle as (vertex, edge index) steps, each edge leading to
+    the next step's vertex: across the leftover edge of
+    :func:`_spanning_forest` from its first end (the root, unless the edge is
+    a self-loop), then up the parent chain back to that end.  Empty unless
+    the graph has exactly one cycle."""
+    _, parent, forest = _spanning_forest(g)
+    extra = [i for _, leftover in forest for i in leftover]
+    if len(extra) != 1:
+        return []
+    u, x, _ = g.edges[extra[0]]
+    steps = [(u, extra[0])]
+    while x != u:
+        steps.append((x, parent[x][1]))
+        x = parent[x][0]
+    return steps
+
+
 def is_pure_cycle(g: PlumbingGraph) -> bool:
     """True iff the graph is a single cycle with every vertex on it."""
-    n = len(g.vertices)
-    if n == 0 or len(g.edges) != n or g.component_count() != 1:
-        return False
-    # a self-loop contributes 2 to its vertex
-    return all(sum(2 if y == x else 1 for y, _ in nbs) == 2 for x, nbs in _adjacency(g).items())
+    return 0 < len(g.vertices) == len(g.edges) == len(_cycle(g))
 
 
 def _cycle_vertex_names(n: int) -> list[str]:
@@ -318,20 +322,13 @@ def cycle_traversal(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
     toward its smaller-named neighbor, so the output is deterministic (any
     rotation is conjugate).
     """
-    n = len(g.vertices)
     if not is_pure_cycle(g):
         raise DomainError("not-a-cycle", "graph is not a single cycle")
-    adj = _adjacency(g)
-    start = min(g.names)
-    order = [start]
-    if n > 1:
-        prev, cur = start, min(adj[start])[0]
-        while cur != start:
-            order.append(cur)
-            nbs = adj[cur]
-            nxt = nbs[1][0] if nbs[0][0] == prev else nbs[0][0]
-            prev, cur = cur, nxt
-
+    names = [x for x, _ in _cycle(g)]
+    k = names.index(min(names))
+    order = names[k:] + names[:k]
+    if len(order) > 2 and order[-1] < order[1]:
+        order[1:] = reversed(order[1:])
     weights = {name: w for name, w in g.vertices}
     sign = 1
     for _, _, s in g.edges:

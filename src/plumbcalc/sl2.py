@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import plumbcalc as pc
+
 from .errors import DomainError
 
 __all__ = [
@@ -147,13 +149,11 @@ def torsion_order(m: SL2Element) -> int:
 def square_trace_check(m: SL2Element) -> tuple[int, bool]:
     """For hyperbolic ``m``: the torsion order tr^2 - 4 of the squared bundle,
     and whether it is a perfect square (it never is for tr > 2)."""
-    from .intmat import is_perfect_square
-
     t = m.trace
     if abs(t) <= 2:
         raise DomainError("not-hyperbolic", "square-trace check needs |tr| > 2")
     value = t * t - 4
-    return value, is_perfect_square(value)
+    return value, pc.intmat.is_perfect_square(value)
 
 
 def _least_rotation(s: tuple) -> int:

@@ -1,6 +1,8 @@
 """The package namespace is the union of the layers' ``__all__`` lists."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -102,3 +104,23 @@ def test_unknown_name():
 def test_second_lookup_is_the_same_object():
     for name in ("det", "dual_string", "Construction", "DomainError"):
         assert getattr(plumbcalc, name) is getattr(plumbcalc, name)
+
+
+def _imports_plumbcalc(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.partition(".")[0] == "plumbcalc"
+    return isinstance(node, ast.Import) and any(
+        alias.name.partition(".")[0] == "plumbcalc" for alias in node.names)
+
+
+def test_no_function_imports_a_layer():
+    # a layer is reached lazily through the package namespace
+    # (``pc.<layer>.<name>``), never by an import inside a function
+    sites = set()
+    for path in sorted(Path(plumbcalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                sites.update(f"{path.name}:{node.lineno}" for node in ast.walk(function)
+                             if _imports_plumbcalc(node))
+    assert sorted(sites) == []

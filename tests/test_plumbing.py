@@ -13,6 +13,7 @@ from plumbcalc.plumbing import (
     check_join_hypotheses,
     cycle_monodromy,
     cycle_plumbing_from_word,
+    cycle_traversal,
     format_graph,
     intersection_form,
     join,
@@ -287,6 +288,31 @@ class TestCycleMonodromy:
     def test_non_cycle_rejected(self):
         with pytest.raises(DomainError) as err:
             cycle_monodromy(SEED_PATH)
+        assert err.value.code == "not-a-cycle"
+
+
+class TestCycleTraversal:
+    # the cycle a-c-e-b-d-a, two of its edges negative
+    VERTICES = ["vertex a -2", "vertex b -3", "vertex c -4", "vertex d -5", "vertex e -6"]
+    EDGES = [("a", "c", "-"), ("c", "e", "+"), ("e", "b", "+"), ("b", "d", "-"), ("d", "a", "+")]
+
+    def test_least_name_toward_smaller_neighbor(self):
+        text = "\n".join(self.VERTICES + [f"edge {u} {v} {s}" for u, v, s in self.EDGES])
+        assert cycle_traversal(parse_graph(text)) == ((-2, -4, -6, -3, -5), 1)
+
+    def test_edge_order_and_direction_do_not_matter(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            edges = [(v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in self.EDGES]
+            rng.shuffle(edges)
+            text = "\n".join(self.VERTICES + [f"edge {u} {v} {s}" for u, v, s in edges])
+            assert cycle_traversal(parse_graph(text)) == ((-2, -4, -6, -3, -5), 1), text
+
+    def test_two_cycles_are_not_a_cycle(self):
+        # as many edges as vertices, but two cycles through d and a, and c isolated
+        edges = (("e", "b", 1), ("d", "e", 1), ("e", "a", 1), ("d", "a", 1), ("d", "a", 1))
+        with pytest.raises(DomainError) as err:
+            cycle_traversal(PlumbingGraph(tuple((x, -2) for x in "abcde"), edges))
         assert err.value.code == "not-a-cycle"
 
 
