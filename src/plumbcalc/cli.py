@@ -2,7 +2,8 @@
 
 Output is line-oriented ``key=value`` text, byte-deterministic for a fixed
 invocation.  Exit codes: 0 success, 1 domain error (with ``error=<code>`` on
-stdout), 2 usage error (diagnostic on stderr, courtesy of argparse).
+stdout; ``error=too-large`` for an integer too long to print in decimal),
+2 usage error (diagnostic on stderr, courtesy of argparse).
 
 Every command is one row of :data:`COMMANDS`; :func:`build_parser` builds the
 whole argparse tree from that table.  Handlers reach the layers through the
@@ -230,6 +231,12 @@ def main(argv=None) -> int:
         lines = args.handler(args)
     except DomainError as exc:
         print(f"error={exc.code}")
+        print(str(exc), file=sys.stderr)
+        return 1
+    except ValueError as exc:  # a result past CPython's int-to-str digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error=too-large")
         print(str(exc), file=sys.stderr)
         return 1
     except _Usage as exc:

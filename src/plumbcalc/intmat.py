@@ -490,18 +490,25 @@ def abelian_group_of(m: IntMatrix) -> AbelianGroupDesc:
     return AbelianGroupDesc(m.rows - r, tuple(x for x in diag if x > 1))
 
 
-def signature(m: IntMatrix) -> int:
-    """Signature of a symmetric matrix by Sylvester's rule: symmetric
-    elimination (``_sparse_minors`` or Bareiss, as for :func:`det`) gives
-    the leading minors ``D_k`` of a congruent matrix, each single step adds
-    the sign of ``D_(k-1) D_k`` and each hyperbolic pair adds 0."""
-    if not m.is_square:
-        raise DomainError("non-square", "signature needs a square matrix")
+def _det_signature(m: IntMatrix) -> tuple[int, int]:
+    """``(det, signature)`` of a symmetric ``m`` from the leading minors
+    ``D_k`` of one symmetric elimination (``_sparse_minors`` or Bareiss, as
+    for :func:`det`).  By Sylvester's rule each single step adds the sign of
+    ``D_(k-1) D_k`` and each hyperbolic pair adds 0; with full rank the last
+    minor is det."""
     rows = _sparse_rows(m)
     if rows is None and not m.is_symmetric:
         raise DomainError("non-symmetric", "signature needs a symmetric matrix")
     minors = _bareiss(m.to_rows(), symmetric=True)[0] if rows is None else _sparse_minors(rows)
-    return sum((x * y > 0) - (x * y < 0) for x, y in zip(minors, minors[1:]))
+    sigma = sum((x * y > 0) - (x * y < 0) for x, y in zip(minors, minors[1:]))
+    return minors[-1] if len(minors) > m.rows else 0, sigma
+
+
+def signature(m: IntMatrix) -> int:
+    """Signature of a symmetric matrix, by :func:`_det_signature`."""
+    if not m.is_square:
+        raise DomainError("non-square", "signature needs a square matrix")
+    return _det_signature(m)[1]
 
 
 def is_perfect_square(n: int) -> bool:

@@ -15,11 +15,10 @@ from .errors import ContractError, DomainError
 from .intmat import (
     AbelianGroupDesc,
     IntMatrix,
+    _det_signature,
     abelian_group_of,
-    det,
     is_perfect_square,
     rank,
-    signature,
 )
 
 __all__ = [
@@ -128,9 +127,9 @@ def rohlin_mu(m: IntMatrix) -> int:
         raise DomainError("non-symmetric", "Rohlin invariant needs a symmetric matrix")
     if any(m.at(i, i) % 2 for i in range(m.rows)):
         raise DomainError("odd-diagonal", "the form must be even (all diagonal entries even)")
-    if abs(det(m)) != 1:
+    d, sigma = _det_signature(m)
+    if abs(d) != 1:
         raise DomainError("determinant-not-unit", "the presentation must be unimodular")
-    sigma = signature(m)
     residue = sigma % 16
     if residue not in (0, 8):
         raise ContractError("contract-rohlin", "even unimodular signature must be 0 or 8 mod 16")

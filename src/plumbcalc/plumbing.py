@@ -1,19 +1,23 @@
 """Plumbing graphs: intersection forms, boundary homology, join and self-join.
 
 A plumbing graph has weighted vertices and signed edges; multi-edges and
-self-loops are allowed, and at most one independent cycle.  The boundary
-3-manifold's first homology is Z^{cycles} plus the cokernel of the
-intersection form.  It is computed on a spanning tree, not on the n x n form:
-eliminating meridians from the leaves inward leaves a G x G matrix, G = 1 +
-the number of leaves (2 for paths and cycles, k for a star with k leaves),
-for the Smith kernel.  Cyclic graphs are torus bundles: their monodromy is the
-product of T^{w_i} S over the cycle, scaled by the product of edge signs.
+self-loops are allowed, and at most one independent cycle.  One breadth-first
+walk per component gives a spanning forest; a graph's component count and its
+cycle are read from that walk once and kept.  The boundary 3-manifold's first
+homology is Z^{cycles} plus the cokernel of the intersection form.  It is
+computed on the spanning tree, not on the n x n form: eliminating meridians
+from the leaves inward leaves a G x G matrix for the Smith kernel, G = the
+root, plus the childless vertices, plus the ends of the edge left out of the
+tree (2 for a path, 3 for a pure cycle, k for a star with k leaves).  Cyclic
+graphs are torus bundles: their monodromy is the product of T^{w_i} S over the
+cycle, scaled by the product of edge signs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 from .intmat import AbelianGroupDesc, IntMatrix, abelian_group_of
@@ -65,8 +69,15 @@ class PlumbingGraph:
                 return w
         raise DomainError("missing-vertex", f"no vertex named {name}")
 
+    @cached_property
+    def _walk(self) -> tuple[int, tuple[tuple[str, int], ...]]:
+        """The component count and the :func:`_cycle` steps, from one walk on
+        first use (a frozen graph never changes)."""
+        _, parent, forest = _spanning_forest(self)
+        return len(forest), _cycle(self, parent, forest)
+
     def component_count(self) -> int:
-        return len(_spanning_forest(self)[2])
+        return self._walk[0]
 
     @property
     def cycle_count(self) -> int:
@@ -88,48 +99,51 @@ def _adjacency(g: PlumbingGraph) -> dict[str, list[tuple[str, int]]]:
 
 
 def _spanning_forest(g: PlumbingGraph):
-    """One breadth-first spanning tree per component.
+    """One breadth-first spanning tree per component, each walked once.
 
     Returns the adjacency, the parent and tree edge of every non-root vertex,
     and per component ``(order, extra)``: its vertices in discovery order,
     root first, and the sorted indices of its edges left out of the tree.  A
-    tree is rooted at a leaf where it has one; a component whose cycle passes
-    through two vertices is walked again from an end of its first leftover
-    edge that is not a self-loop, with that edge held out, so it touches the
-    root.
+    component is rooted at a leaf where it has one, else at its first vertex
+    in declaration order; a left-out edge may lie anywhere in it.
     """
     adj = _adjacency(g)
-
-    def walk(root: str, held: int | None):
-        order, parent = [root], {}
-        extra = set() if held is None else {held}
-        for x in order:
-            up = parent[x][1] if x in parent else held
-            for y, i in adj[x]:
-                if i == up or i == held:
-                    continue
-                if y in parent or y == root:
-                    extra.add(i)
-                else:
-                    parent[y] = (x, i)
-                    order.append(y)
-        return order, parent, sorted(extra)
-
     parent: dict[str, tuple[str, int]] = {}
     forest = []
     seen: set[str] = set()
-    starts = [n for n, nbs in adj.items() if len(nbs) <= 1] + [n for n, nbs in adj.items() if len(nbs) > 1]
-    for start in starts:
-        if start in seen:
+    for root in sorted(adj, key=lambda n: len(adj[n]) > 1):
+        if root in seen:
             continue
-        order, tree, extra = walk(start, None)
-        ring = next((i for i in extra if g.edges[i][0] != g.edges[i][1]), None)
-        if ring is not None:
-            order, tree, extra = walk(g.edges[ring][0], ring)
-        seen.update(order)
-        parent.update(tree)
-        forest.append((order, extra))
+        order, extra = [root], set()
+        seen.add(root)
+        for x in order:
+            up = parent[x][1] if x in parent else None
+            for y, i in adj[x]:
+                if i == up:
+                    continue
+                if y in seen:
+                    extra.add(i)
+                else:
+                    seen.add(y)
+                    parent[y] = (x, i)
+                    order.append(y)
+        forest.append((order, sorted(extra)))
     return adj, parent, forest
+
+
+def _tree_path(parent: dict[str, tuple[str, int]], src: str, dst: str) -> list[tuple[str, int]]:
+    """The tree path from ``src`` to ``dst`` as (vertex, edge index) steps,
+    each edge leading to the next step's vertex, the last one to ``dst``."""
+    up, x = [src], src
+    while x in parent:
+        x = parent[x][0]
+        up.append(x)
+    depth = {v: k for k, v in enumerate(up)}
+    down, x = [], dst
+    while x not in depth:
+        down.append(parent[x])
+        x = parent[x][0]
+    return [(v, parent[v][1]) for v in up[:depth[x]]] + down[::-1]
 
 
 def parse_graph(text: str) -> PlumbingGraph:
@@ -177,20 +191,14 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     product is preserved and the negative edge (if any) lands on the first
     cycle edge in declaration order.
     """
-    cycle = sorted(i for _, i in _cycle(g))
+    cycle = sorted(i for _, i in g._walk[1])
     negatives = [i for i in cycle if g.edges[i][2] < 0]
     if len(negatives) <= 1:
         return g
-    product = 1
-    for i in cycle:
-        product *= g.edges[i][2]
     edges = list(g.edges)
-    for i in cycle:
+    for i in cycle:  # the sign product is negative iff the negatives are odd
         u, v, _ = edges[i]
-        edges[i] = (u, v, 1)
-    if product < 0:
-        u, v, _ = edges[cycle[0]]
-        edges[cycle[0]] = (u, v, -1)
+        edges[i] = (u, v, -1 if i == cycle[0] and len(negatives) % 2 else 1)
     return PlumbingGraph(g.vertices, tuple(edges))
 
 
@@ -211,22 +219,24 @@ def intersection_form(g: PlumbingGraph) -> IntMatrix:
 def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:
     """First homology of the boundary: coker(Q) plus one Z per cycle.
 
-    Q is never built.  The roots of the spanning trees and the childless
-    non-root vertices are the generators.  Children first, every other
-    non-root vertex's meridian is eliminated with the relation of its first
-    child, whose coefficient on it is the tree edge's sign, +1 or -1; the
-    remaining relations form a square matrix over the generators.
+    Q is never built.  The roots of the spanning trees, the childless
+    vertices and both ends of every edge left out of the trees are the
+    generators.  Children first, every other vertex's meridian is eliminated
+    with the relation of its first child, whose coefficient on it is the tree
+    edge's sign, +1 or -1; the remaining relations form a square matrix over
+    the generators.
     """
     adj, parent, forest = _spanning_forest(g)
     cycles = sum(len(extra) for _, extra in forest)
     if cycles > 1:
         raise DomainError("multi-cycle", "boundary homology needs at most one cycle")
     order = [v for component, _ in forest for v in component]
-    first: dict[str, str] = {}
+    ends = {x for _, extra in forest for i in extra for x in g.edges[i][:2]}
+    pivot: dict[str, str] = {}  # eliminated vertex -> its first child, in walk order
     for v in order:
-        if v in parent:
-            first.setdefault(parent[v][0], v)
-    gens = [v for v in order if v not in parent or v not in first]
+        if v in parent and parent[v][0] in parent and parent[v][0] not in ends:
+            pivot.setdefault(parent[v][0], v)
+    gens = [v for v in order if v not in pivot]
     expr = {v: [int(v == x) for x in gens] for v in gens}
     weight = dict(g.vertices)
 
@@ -240,38 +250,30 @@ def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:
                 row = [a + s * b for a, b in zip(row, expr[y])]
         return row
 
-    for v in reversed(order):
-        if v in parent and v in first:
-            c = first[v]
-            expr[v] = [-g.edges[parent[c][1]][2] * a for a in relation(c)]
-    used = {c for v, c in first.items() if v in parent}
+    for v, c in reversed(pivot.items()):
+        expr[v] = [-g.edges[parent[c][1]][2] * a for a in relation(c)]
+    used = set(pivot.values())
     rows = [relation(x) for x in order if x not in used]
     k = len(gens)
     coker = abelian_group_of(IntMatrix(k, k, tuple(a for row in rows for a in row)))
     return AbelianGroupDesc(coker.free_rank + cycles, coker.torsion_factors)
 
 
-def _cycle(g: PlumbingGraph) -> list[tuple[str, int]]:
+def _cycle(g: PlumbingGraph, parent, forest) -> tuple[tuple[str, int], ...]:
     """The unique cycle as (vertex, edge index) steps, each edge leading to
     the next step's vertex: across the leftover edge of
-    :func:`_spanning_forest` from its first end (the root, unless the edge is
-    a self-loop), then up the parent chain back to that end.  Empty unless
-    the graph has exactly one cycle."""
-    _, parent, forest = _spanning_forest(g)
+    :func:`_spanning_forest` from its first end, then along the tree path
+    back to that end.  Empty unless the graph has exactly one cycle."""
     extra = [i for _, leftover in forest for i in leftover]
     if len(extra) != 1:
-        return []
+        return ()
     u, x, _ = g.edges[extra[0]]
-    steps = [(u, extra[0])]
-    while x != u:
-        steps.append((x, parent[x][1]))
-        x = parent[x][0]
-    return steps
+    return ((u, extra[0]), *_tree_path(parent, x, u))
 
 
 def is_pure_cycle(g: PlumbingGraph) -> bool:
     """True iff the graph is a single cycle with every vertex on it."""
-    return 0 < len(g.vertices) == len(g.edges) == len(_cycle(g))
+    return 0 < len(g.vertices) == len(g.edges) == len(g._walk[1])
 
 
 def _cycle_vertex_names(n: int) -> list[str]:
@@ -324,7 +326,7 @@ def cycle_traversal(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
     """
     if not is_pure_cycle(g):
         raise DomainError("not-a-cycle", "graph is not a single cycle")
-    names = [x for x, _ in _cycle(g)]
+    names = [x for x, _ in g._walk[1]]
     k = names.index(min(names))
     order = names[k:] + names[:k]
     if len(order) > 2 and order[-1] < order[1]:
@@ -378,23 +380,6 @@ def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGrap
     return PlumbingGraph(tuple(vertices), tuple(edges))
 
 
-def _tree_path_edges(g: PlumbingGraph, src: str, dst: str) -> list[int]:
-    """Edge indices along the unique tree path from ``src`` to ``dst``,
-    ordered starting at ``src``."""
-    parent = _spanning_forest(g)[1]
-    up, up_edges, x = [src], [], src
-    while x in parent:
-        x, i = parent[x]
-        up.append(x)
-        up_edges.append(i)
-    depth = {v: k for k, v in enumerate(up)}
-    down_edges, x = [], dst
-    while x not in depth:
-        x, i = parent[x]
-        down_edges.append(i)
-    return up_edges[:depth[x]] + down_edges[::-1]
-
-
 def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
     """Identify two distinct vertices of a tree, summing their weights.
 
@@ -411,9 +396,9 @@ def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
         raise DomainError("non-tree", "self-join needs a plumbing tree")
     w1, w2 = g.weight(v1), g.weight(v2)
 
-    path = _tree_path_edges(g, v2, v1)
+    path = _tree_path(_spanning_forest(g)[1], v2, v1)
     edges = list(g.edges)
-    for rank, idx in enumerate(path):
+    for rank, (_, idx) in enumerate(path):
         u, v, _ = edges[idx]
         edges[idx] = (u, v, sign if rank == 0 else 1)
 

@@ -49,10 +49,6 @@ class SL2Element:
     def identity(cls) -> "SL2Element":
         return cls(1, 0, 0, 1)
 
-    @classmethod
-    def t_power(cls, k: int) -> "SL2Element":
-        return cls(1, k, 0, 1)
-
     def __matmul__(self, o: "SL2Element") -> "SL2Element":
         return SL2Element(
             self.a * o.a + self.b * o.c,

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -477,6 +478,33 @@ class TestTooLarge:
         # a single entry 3+x needs a run of x 2's to be a family string, so
         # this is rejected from its parse and nothing long is built
         assert invoke(capsys, "kirby", "dualize", "1000000003")[:2] == (1, "error=not-in-family\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+class TestPastIntToStrLimit:
+    """A result longer than CPython's int-to-str limit (4300 digits) fails
+    with error=too-large and no traceback; the limit is not raised."""
+
+    BIG = "7" * 4000
+
+    def test_ledger_word(self, capsys):
+        code, out, err = invoke(capsys, "ledger", "eval", f"word:{self.BIG},{self.BIG}")
+        assert (code, out) == (1, "error=too-large\n")
+        assert "Exceeds the limit" in err and "Traceback" not in err
+
+    def test_mono_torsion(self, capsys):
+        code, out, err = invoke(capsys, "mono", f"{self.BIG},{self.BIG}", "--torsion")
+        assert (code, out) == (1, "error=too-large\n")
+        assert "Exceeds the limit" in err and "Traceback" not in err
+
+    def test_mat_det_but_not_snf(self, capsys, tmp_path):
+        matrix = tmp_path / "big.mat"
+        matrix.write_text(f"2 2\n{self.BIG} 0\n0 {self.BIG}\n")
+        code, out, err = invoke(capsys, "mat", "det", str(matrix))
+        assert (code, out) == (1, "error=too-large\n")
+        assert "Exceeds the limit" in err and "Traceback" not in err
+        code, out, _ = invoke(capsys, "mat", "snf", str(matrix))
+        assert code == 0 and out.startswith(f"d={self.BIG},0;0,{self.BIG}\n")
 
 
 class TestListSyntaxCodes:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import plumbcalc.intmat as intmat
 from plumbcalc.errors import DomainError
 from plumbcalc.intmat import AbelianGroupDesc, IntMatrix, det, rank
 from plumbcalc.obstruct import (
@@ -138,6 +139,31 @@ class TestRohlinMu:
         with pytest.raises(DomainError) as err:
             rohlin_mu(IntMatrix.from_rows([[1]]))
         assert err.value.code == "odd-diagonal"
+
+    def test_non_symmetric_before_odd_diagonal(self):
+        with pytest.raises(DomainError) as err:
+            rohlin_mu(IntMatrix.from_rows([[1, 2], [0, 1]]))
+        assert err.value.code == "non-symmetric"
+
+    def test_one_elimination(self, monkeypatch, e8):
+        # det and signature come from the same pass, dense or sparse
+        calls = []
+
+        def counted(kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(kernel.__name__)
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        for name in ("_bareiss", "_sparse_minors"):
+            monkeypatch.setattr(intmat, name, counted(getattr(intmat, name)))
+        assert rohlin_mu(e8) == 1
+        assert calls == ["_bareiss"]
+        # ten E8 blocks: 80 rows with 2.75 nonzeros a row take the sparse kernel
+        block = e8.to_rows()
+        rows = [[0] * (i - i % 8) + block[i % 8] + [0] * (72 - i + i % 8) for i in range(80)]
+        assert rohlin_mu(IntMatrix.from_rows(rows)) == 0
+        assert calls == ["_bareiss", "_sparse_minors"]
 
     def test_congruence_invariance(self, e8):
         rng = random.Random(99)

@@ -1,11 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import plumbcalc.plumbing as plumbing
 from plumbcalc.errors import DomainError
 from plumbcalc.intmat import AbelianGroupDesc, IntMatrix, abelian_group_of, det
+from plumbcalc.ledger import evaluate_graph
 from plumbcalc.plumbing import (
     PlumbingGraph,
     boundary_homology,
@@ -33,6 +35,14 @@ def path_graph(weights, names=None):
 
 
 SEED_PATH = path_graph([-1, -2, -2, -1])
+SEED_PATH_TEXT = format_graph(SEED_PATH)
+
+# a 3-cycle with trees on two of its vertices; its spanning tree is rooted
+# at the leaf d, so the edge b-c left out of it does not touch the root
+HANG_TEXT = (
+    "vertex a -3\nvertex b -2\nvertex c -3\nvertex d -2\nvertex e -1\n"
+    "edge a b +\nedge b c +\nedge c a +\nedge a d +\nedge b e +\n"
+)
 
 
 class TestParse:
@@ -201,6 +211,18 @@ class TestGraphNativeHomology:
     """boundary_homology eliminates along spanning trees; the dense
     intersection form is the oracle."""
 
+    # the edge left out of the spanning tree, away from the root, with trees
+    # hanging off its ends: two chords, a self-loop and a doubled edge
+    @example(parse_graph(HANG_TEXT))
+    @example(parse_graph(
+        "vertex d -2\nvertex a -3\nvertex b -2\nvertex c -3\nvertex e -1\nvertex f -4\n"
+        "edge a b +\nedge b c +\nedge c a +\nedge d a +\nedge e b +\nedge f c -\n"))
+    @example(parse_graph(
+        "vertex a -1\nvertex b -3\nvertex c -2\nvertex d 2\n"
+        "edge a b +\nedge b b -\nedge b c +\nedge c d +\n"))
+    @example(parse_graph(
+        "vertex a -2\nvertex b -3\nvertex c -2\nvertex d -5\n"
+        "edge a b +\nedge b a -\nedge b c +\nedge c d +\n"))
     @settings(max_examples=400, deadline=None)
     @given(plumbings())
     def test_matches_dense_form(self, g):
@@ -228,6 +250,27 @@ class TestGraphNativeHomology:
         expected = abelian_group_of(a_minus_i)
         assert boundary_homology(g) == AbelianGroupDesc(1 + expected.free_rank, expected.torsion_factors)
         assert best_cpu_seconds(lambda: boundary_homology(g)) < 0.05
+
+
+class TestOneWalkPerGraph:
+    """The component count and the cycle come from one cached walk, so a
+    graph descriptor walks its graph once (a cycle) or twice (a tree, whose
+    homology walks it again)."""
+
+    @pytest.mark.parametrize("text, walks", [
+        ("vertex a -3\nvertex b -3\nvertex c -3\nedge a b +\nedge b c +\nedge c a +\n", 1),
+        (SEED_PATH_TEXT, 2),
+    ], ids=["3-cycle", "4-path"])
+    def test_evaluate_graph(self, monkeypatch, text, walks):
+        calls, forest = [], plumbing._spanning_forest
+
+        def counted(g):
+            calls.append(g)
+            return forest(g)
+
+        monkeypatch.setattr(plumbing, "_spanning_forest", counted)
+        evaluate_graph(parse_graph(text))
+        assert len(calls) == walks
 
 
 class TestCycleFromWord:
