@@ -15,6 +15,9 @@ construction (trees combined by joins and self-joins).  Evaluation applies:
 Anything else is reported unknown.  ``bounds-QSB`` and ``obstructed`` are
 mutually exclusive by construction: every certified descriptor has square
 torsion order.
+
+The rules compute verdicts, ``(status, reason)`` pairs, from their operands'
+verdicts; only the returned entry gets a descriptor.
 """
 
 from __future__ import annotations
@@ -74,47 +77,46 @@ def _graph_descriptor(g: PlumbingGraph) -> str:
     return f"graph:{pc.plumbing.canonical_key(g)}"
 
 
-def _square_fallback(torsion: int, context: str) -> tuple[str, str]:
+def _square_fallback(torsion: int) -> tuple[str, str]:
     """Square-order test on a torsion order; returns (status, reason)."""
     if not is_perfect_square(torsion):
         return STATUS_OBSTRUCTED, f"torsion-not-square({torsion})"
-    return STATUS_UNKNOWN, f"square-condition-holds({torsion});{context}"
+    return STATUS_UNKNOWN, f"square-condition-holds({torsion});no-certificate"
+
+
+def _word_verdict(w: MonodromyWord) -> tuple[str, str]:
+    t = word_to_matrix(w).trace
+    if t == -2:
+        return STATUS_BOUNDS, "negative-parabolic"
+    if w.sign > 0 and w.coeffs and all(c >= 2 for c in w.coeffs):
+        params = recognize_family(w.coeffs)
+        if params is not None:
+            reason = f"hyperbolic-family(k={params.k};x={format_int_string(params.xs)})"
+            return STATUS_BOUNDS, reason
+    if t == 2:
+        return STATUS_UNKNOWN, "trace-2-degenerate"
+    return _square_fallback(abs(t - 2))
+
+
+def _graph_verdict(g: PlumbingGraph) -> tuple[str, str]:
+    if pc.plumbing.is_pure_cycle(g):
+        # pure cycle: defer to the word-level rules via the traversal word
+        weights, sign = pc.plumbing.cycle_traversal(g)
+        return _word_verdict(MonodromyWord(tuple(-w for w in weights), sign))
+    homology = pc.plumbing.boundary_homology(g)
+    if g.is_tree() and homology == AbelianGroupDesc(1, ()):
+        return STATUS_BOUNDS, "s1xs2-base(homology-level)"
+    return _square_fallback(homology.torsion_order)
 
 
 def evaluate_word(w: MonodromyWord) -> LedgerEntry:
     """Certify or obstruct a torus bundle given by a monodromy word."""
-    descriptor = _word_descriptor(w)
-    m = word_to_matrix(w)
-    t = m.trace
-    if t == -2:
-        return LedgerEntry(descriptor, STATUS_BOUNDS, "negative-parabolic")
-    if w.sign > 0 and w.coeffs and all(c >= 2 for c in w.coeffs):
-        params = recognize_family(w.coeffs)
-        if params is not None:
-            reason = (
-                f"hyperbolic-family(k={params.k};x={format_int_string(params.xs)})"
-            )
-            return LedgerEntry(descriptor, STATUS_BOUNDS, reason)
-    if t == 2:
-        return LedgerEntry(descriptor, STATUS_UNKNOWN, "trace-2-degenerate")
-    status, reason = _square_fallback(abs(t - 2), "no-certificate")
-    return LedgerEntry(descriptor, status, reason)
+    return LedgerEntry(_word_descriptor(w), *_word_verdict(w))
 
 
 def evaluate_graph(g: PlumbingGraph) -> LedgerEntry:
     """Certify or obstruct a plumbing graph with no construction history."""
-    descriptor = _graph_descriptor(g)
-    if pc.plumbing.is_pure_cycle(g):
-        # pure cycle: defer to the word-level rules via the traversal word
-        weights, sign = pc.plumbing.cycle_traversal(g)
-        word = MonodromyWord(tuple(-w for w in weights), sign)
-        entry = evaluate_word(word)
-        return LedgerEntry(descriptor, entry.status, entry.reason)
-    homology = pc.plumbing.boundary_homology(g)
-    if g.is_tree() and homology == AbelianGroupDesc(1, ()):
-        return LedgerEntry(descriptor, STATUS_BOUNDS, "s1xs2-base(homology-level)")
-    status, reason = _square_fallback(homology.torsion_order, "no-certificate")
-    return LedgerEntry(descriptor, status, reason)
+    return LedgerEntry(_graph_descriptor(g), *_graph_verdict(g))
 
 
 @dataclass
@@ -126,14 +128,12 @@ class Construction:
     verdicts.
     """
 
-    _graphs: dict[str, PlumbingGraph] = field(default_factory=dict)
-    _steps: dict[str, tuple] = field(default_factory=dict)
+    _steps: dict[str, tuple[PlumbingGraph, tuple]] = field(default_factory=dict)
 
     def _record(self, name: str, graph: PlumbingGraph, step: tuple) -> None:
-        if name in self._graphs:
+        if name in self._steps:
             raise DomainError("duplicate-name", f"{name} is already defined")
-        self._graphs[name] = graph
-        self._steps[name] = step
+        self._steps[name] = (graph, step)
 
     def add_tree(self, name: str, graph: PlumbingGraph) -> PlumbingGraph:
         self._record(name, graph, ("tree",))
@@ -150,9 +150,9 @@ class Construction:
         return g
 
     def graph(self, name: str) -> PlumbingGraph:
-        if name not in self._graphs:
+        if name not in self._steps:
             raise DomainError("unknown-name", f"no graph named {name}")
-        return self._graphs[name]
+        return self._steps[name][0]
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._steps)
@@ -163,54 +163,46 @@ class Construction:
 
         An operand is evaluated only when a rule consults its verdict, and
         pending steps wait on an explicit stack, so deep histories do not
-        recurse.
+        recurse.  Only the answer gets a descriptor.
         """
-        memo: dict[str, LedgerEntry] = {}
+        graph = self.graph(name)
+        memo: dict[str, tuple[str, str]] = {}
         stack = [(name, self._rules(name))]
-        answer = None
+        verdict = None
         while stack:
             n, rules = stack[-1]
             try:
-                operand = rules.send(answer)
+                operand = rules.send(verdict)
             except StopIteration as done:
                 stack.pop()
-                answer = memo[n] = done.value
+                verdict = memo[n] = done.value
                 continue
-            answer = memo.get(operand)
-            if answer is None:
+            verdict = memo.get(operand)
+            if verdict is None:
                 stack.append((operand, self._rules(operand)))
-        return answer
+        return LedgerEntry(_graph_descriptor(graph), *verdict)
 
     def _rules(self, name: str):
         """The rules for one step, as a generator: it yields the name of each
-        operand whose verdict it consults, is sent that verdict, and returns
-        the step's entry."""
-        graph = self.graph(name)
-        step = self._steps[name]
+        operand whose verdict it consults, is sent that (status, reason), and
+        returns the step's own."""
+        graph, step = self._steps[name]
         if step[0] == "selfjoin":
-            src_entry = yield step[1]
-            if src_entry.status == STATUS_BOUNDS:
+            src_status, src_reason = yield step[1]
+            if src_status == STATUS_BOUNDS:
                 q_det = det(pc.plumbing.intersection_form(graph))
                 if q_det != 0:
-                    return LedgerEntry(
-                        _graph_descriptor(graph),
-                        STATUS_BOUNDS,
-                        f"self-join-nonsingular(det={q_det})<-{src_entry.reason}",
-                    )
+                    return STATUS_BOUNDS, f"self-join-nonsingular(det={q_det})<-{src_reason}"
         elif step[0] == "join":
             _, left, v1, right, v2 = step
             for pivot, pivot_v, other in ((left, v1, right), (right, v2, left)):
-                other_entry = yield other
-                if other_entry.status != STATUS_BOUNDS:
+                other_status, other_reason = yield other
+                if other_status != STATUS_BOUNDS:
                     continue
                 if pc.plumbing.check_join_hypotheses(self.graph(pivot), pivot_v).all_pass:
-                    return LedgerEntry(
-                        _graph_descriptor(graph),
-                        STATUS_BOUNDS,
-                        f"join-transfer({pivot}-hypotheses;homology-level)"
-                        f"<-{other_entry.reason}",
-                    )
-        return evaluate_graph(graph)
+                    reason = f"join-transfer({pivot}-hypotheses;homology-level)<-{other_reason}"
+                    return STATUS_BOUNDS, reason
+        return _graph_verdict(graph)
 
 
 def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Construction, str]:

@@ -188,8 +188,8 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     """Flip cycle-edge signs to the normal form: at most one negative edge.
 
     Graphs already in normal form are returned untouched; otherwise the sign
-    product is preserved and the negative edge (if any) lands on the first
-    cycle edge in declaration order.
+    product is preserved, the negative edge (if any) lands on the first
+    cycle edge in declaration order, and the new graph keeps the cached walk.
     """
     cycle = sorted(i for _, i in g._walk[1])
     negatives = [i for i in cycle if g.edges[i][2] < 0]
@@ -199,7 +199,9 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     for i in cycle:  # the sign product is negative iff the negatives are odd
         u, v, _ = edges[i]
         edges[i] = (u, v, -1 if i == cycle[0] and len(negatives) % 2 else 1)
-    return PlumbingGraph(g.vertices, tuple(edges))
+    flipped = PlumbingGraph(g.vertices, tuple(edges))
+    flipped.__dict__["_walk"] = g._walk  # every edge keeps its ends and index
+    return flipped
 
 
 def intersection_form(g: PlumbingGraph) -> IntMatrix:

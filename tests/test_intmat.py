@@ -309,7 +309,9 @@ class TestDenseSmithAgainstOracles:
 class TestGrowthFallbacks:
     """With the growth bound forced down to 1, every reduction, with or
     without certificates, restarts at the first pass with alternating
-    Hermite forms.  Dense inputs rarely reach the real bound."""
+    Hermite forms.  Dense inputs rarely reach the real bound.  At bound 2
+    the 4x3 rank-1 case runs out of pivots first, and its certificate rows
+    then fail the ``H^2`` check, which restarts the reduction there."""
 
     def test_fallbacks_agree_with_sympy(self, monkeypatch):
         from sympy import Matrix, ZZ
@@ -323,16 +325,18 @@ class TestGrowthFallbacks:
             mat([[0, 0], [0, 0]]),
             mat([[0, 3], [0, 0]]),
             _random_dense(rng, 3, 5, bound=4),
+            mat([[0, 10, 0], [0, -2, 0], [0, -2, 0], [0, 6, 0]]),
         ]
-        monkeypatch.setattr(intmat_module, "_hadamard", lambda k, b: 1)
-        for m in cases:
-            reference = smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
-            k = min(m.rows, m.cols)
-            theirs = [abs(reference[i, i]) for i in range(k) if reference[i, i]]
-            diag = smith_diagonal(m)
-            assert [x for x in diag if x] == theirs, m
-            assert snf(m).diagonal() == diag, m
-            TestSNF()._check_invariants(m)
+        for bound in (1, 2):
+            monkeypatch.setattr(intmat_module, "_hadamard", lambda k, b: bound)
+            for m in cases:
+                reference = smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
+                k = min(m.rows, m.cols)
+                theirs = [abs(reference[i, i]) for i in range(k) if reference[i, i]]
+                diag = smith_diagonal(m)
+                assert [x for x in diag if x] == theirs, (bound, m)
+                assert snf(m).diagonal() == diag, (bound, m)
+                TestSNF()._check_invariants(m)
 
 
 def _block_sum(*blocks):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import plumbcalc.ledger as ledger
+import plumbcalc.plumbing as plumbing
 from plumbcalc.errors import DomainError
 from plumbcalc.intmat import is_perfect_square
 from plumbcalc.ledger import (
@@ -149,6 +151,45 @@ class TestConstruction:
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
             Construction().evaluate("missing")
+
+
+class TestOnlyTheAnswerGetsADescriptor:
+    """Rules pass (status, reason) verdicts; a descriptor is rendered only
+    for the entry that is returned."""
+
+    def test_join_falls_through_to_the_joined_graph(self, monkeypatch):
+        # Y = (-2,-2,-2) does not bound, and Y fails the hypotheses at a, so
+        # neither side transfers and H gets its own whole-graph verdict
+        keys, canonical_key = [], plumbing.canonical_key
+
+        def counted(g):
+            keys.append(g)
+            return canonical_key(g)
+
+        monkeypatch.setattr(plumbing, "canonical_key", counted)
+        build = Construction()
+        build.add_tree("X", SEED_PATH)
+        build.add_tree("Y", path_graph([-2, -2, -2]))
+        build.add_join("H", "X", "b", "Y", "a")
+        entry = build.evaluate("H")
+        assert keys == [build.graph("H")]
+        assert (entry.status, entry.reason) == (
+            STATUS_UNKNOWN,
+            "square-condition-holds(4);no-certificate",
+        )
+        assert entry == evaluate_graph(build.graph("H"))
+
+    def test_pure_cycle_builds_no_word_descriptor(self, monkeypatch):
+        calls, rotation = [], ledger.lex_min_rotation
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return rotation(coeffs)
+
+        monkeypatch.setattr(ledger, "lex_min_rotation", counted)
+        entry = evaluate_graph(cycle_plumbing_from_word(MonodromyWord((3, 3, 3))))
+        assert calls == []
+        assert (entry.status, entry.reason) == (STATUS_BOUNDS, "hyperbolic-family(k=1;x=0,0,0)")
 
 
 def seed_path(rng, length):

@@ -254,13 +254,15 @@ class TestGraphNativeHomology:
 
 class TestOneWalkPerGraph:
     """The component count and the cycle come from one cached walk, so a
-    graph descriptor walks its graph once (a cycle) or twice (a tree, whose
-    homology walks it again)."""
+    graph descriptor walks its graph once (a cycle, also one whose edge signs
+    were normalized) or twice (a tree, whose homology walks it again)."""
 
     @pytest.mark.parametrize("text, walks", [
         ("vertex a -3\nvertex b -3\nvertex c -3\nedge a b +\nedge b c +\nedge c a +\n", 1),
         (SEED_PATH_TEXT, 2),
-    ], ids=["3-cycle", "4-path"])
+        # two negative cycle edges: the sign-normalized graph keeps the walk
+        ("vertex a -3\nvertex b -3\nvertex c -3\nedge a b -\nedge b c -\nedge c a +\n", 1),
+    ], ids=["3-cycle", "4-path", "3-cycle-normalized"])
     def test_evaluate_graph(self, monkeypatch, text, walks):
         calls, forest = [], plumbing._spanning_forest
 
