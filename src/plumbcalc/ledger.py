@@ -88,11 +88,10 @@ def _word_verdict(w: MonodromyWord) -> tuple[str, str]:
     t = word_to_matrix(w).trace
     if t == -2:
         return STATUS_BOUNDS, "negative-parabolic"
-    if w.sign > 0 and w.coeffs and all(c >= 2 for c in w.coeffs):
-        params = recognize_family(w.coeffs)
-        if params is not None:
-            reason = f"hyperbolic-family(k={params.k};x={format_int_string(params.xs)})"
-            return STATUS_BOUNDS, reason
+    params = recognize_family(w.coeffs) if w.sign > 0 else None
+    if params is not None:
+        reason = f"hyperbolic-family(k={params.k};x={format_int_string(params.xs)})"
+        return STATUS_BOUNDS, reason
     if t == 2:
         return STATUS_UNKNOWN, "trace-2-degenerate"
     return _square_fallback(abs(t - 2))
@@ -104,7 +103,7 @@ def _graph_verdict(g: PlumbingGraph) -> tuple[str, str]:
         weights, sign = pc.plumbing.cycle_traversal(g)
         return _word_verdict(MonodromyWord(tuple(-w for w in weights), sign))
     homology = pc.plumbing.boundary_homology(g)
-    if g.is_tree() and homology == AbelianGroupDesc(1, ()):
+    if homology == AbelianGroupDesc(1, ()) and g.is_tree():
         return STATUS_BOUNDS, "s1xs2-base(homology-level)"
     return _square_fallback(homology.torsion_order)
 

@@ -15,7 +15,6 @@ cycle, scaled by the product of edge signs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,12 +48,11 @@ class PlumbingGraph:
     edges: tuple[tuple[str, str, int], ...]      # (u, v, sign) with sign in {+1, -1}
 
     def __post_init__(self) -> None:
-        names = [n for n, _ in self.vertices]
-        if len(set(names)) != len(names):
+        names = {n for n, _ in self.vertices}
+        if len(names) != len(self.vertices):
             raise DomainError("duplicate-vertex", "vertex names must be unique")
-        name_set = set(names)
         for u, v, s in self.edges:
-            if u not in name_set or v not in name_set:
+            if u not in names or v not in names:
                 raise DomainError("dangling-edge", f"edge ({u},{v}) references a missing vertex")
             if s not in (1, -1):
                 raise DomainError("bad-edge-sign", "edge signs must be +1 or -1")
@@ -308,13 +306,12 @@ def cycle_plumbing_from_word(w: MonodromyWord) -> PlumbingGraph:
         )
     names = _cycle_vertex_names(n)
     vertices = tuple((names[i], -a[i]) for i in range(n))
-    wrap_sign = -1 if w.sign < 0 else 1
     if n == 1:
-        edges: tuple = ((names[0], names[0], wrap_sign),)
+        edges: tuple = ((names[0], names[0], w.sign),)
     else:
         edges = tuple(
             (names[i], names[i + 1], 1) for i in range(n - 1)
-        ) + ((names[n - 1], names[0], wrap_sign),)
+        ) + ((names[n - 1], names[0], w.sign),)
     return PlumbingGraph(vertices, edges)
 
 
@@ -333,11 +330,9 @@ def cycle_traversal(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
     order = names[k:] + names[:k]
     if len(order) > 2 and order[-1] < order[1]:
         order[1:] = reversed(order[1:])
-    weights = {name: w for name, w in g.vertices}
-    sign = 1
-    for _, _, s in g.edges:
-        sign *= s
-    return tuple(weights[name] for name in order), sign
+    weights = dict(g.vertices)
+    odd = sum(s < 0 for _, _, s in g.edges) % 2  # as in _normalize_cycle_signs
+    return tuple(weights[name] for name in order), -1 if odd else 1
 
 
 def cycle_monodromy(g: PlumbingGraph) -> tuple[SL2Element, int]:
@@ -451,16 +446,14 @@ def canonical_key(g: PlumbingGraph) -> str:
         if start in new_id:
             continue
         new_id[start] = len(new_id)
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
+        order = [start]
+        for cur in order:
             for nb in sorted(y for y, _ in adj[cur]):
                 if nb not in new_id:
                     new_id[nb] = len(new_id)
-                    queue.append(nb)
-    weights = {name: w for name, w in g.vertices}
-    by_id = sorted(g.names, key=lambda n: new_id[n])
-    vparts = ",".join(f"v{new_id[n]}:{weights[n]}" for n in by_id)
+                    order.append(nb)
+    weights = dict(g.vertices)
+    vparts = ",".join(f"v{i}:{weights[n]}" for n, i in new_id.items())
     eparts = ",".join(
         sorted(
             "v{}-v{}:{}".format(

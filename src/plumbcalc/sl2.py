@@ -220,8 +220,6 @@ def parse_word(text: str) -> MonodromyWord:
     if text.startswith("-:"):
         sign = -1
         text = text[2:]
-    elif text.startswith("+:"):
-        text = text[2:]
     return MonodromyWord(_parse_list(text, "word-syntax") if text else (), sign)
 
 

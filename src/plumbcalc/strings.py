@@ -183,7 +183,7 @@ def _split_family(a: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, 
     if k == 0 and xs == (0,):
         raise DomainError("special-case", "the string (3) is handled separately")
     # the first segment ends at the head of block k, 3 + x_{2k+1}
-    s = family_string(params)
+    s = a[offset:] + a[:offset]
     cut = k + 1 + sum(xs[1:2 * k:2])
     d = list(s[:cut])
     d[0] -= 1
@@ -220,11 +220,11 @@ def format_int_string(s) -> str:
 
 
 def parse_family_params(text: str) -> FamilyParams:
-    """Parse ``k=1;x=0,0,0``."""
-    parts = dict(
-        chunk.split("=", 1) for chunk in text.strip().split(";") if "=" in chunk
-    )
-    if set(parts) != {"k", "x"}:
+    """Parse ``k=1;x=0,0,0``: one ``k=`` and one ``x=`` field, in either
+    order, and nothing else."""
+    fields = [chunk.partition("=") for chunk in text.strip().split(";")]
+    parts = {key: value for key, eq, value in fields if eq}
+    if len(fields) != 2 or set(parts) != {"k", "x"}:
         raise DomainError("family-syntax", "expected k=<int>;x=<comma list>")
     try:
         k = int(parts["k"])

@@ -521,6 +521,9 @@ class TestListSyntaxCodes:
             (["family", "gen", "k=0;x=a"], "family-syntax"),
             (["family", "gen", "k=z;x=1"], "family-syntax"),
             (["kirby", "dualize", "3,3,"], "string-syntax"),
+            (["family", "gen", "k=1;x=0,0,0;junk"], "family-syntax"),
+            (["family", "gen", "k=1;x=0,0,0;k=2"], "family-syntax"),
+            (["mono", "+:3,2"], "word-syntax"),
         ],
     )
     def test_codes(self, capsys, argv, code):

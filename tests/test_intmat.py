@@ -309,9 +309,27 @@ class TestDenseSmithAgainstOracles:
 class TestGrowthFallbacks:
     """With the growth bound forced down to 1, every reduction, with or
     without certificates, restarts at the first pass with alternating
-    Hermite forms.  Dense inputs rarely reach the real bound.  At bound 2
-    the 4x3 rank-1 case runs out of pivots first, and its certificate rows
-    then fail the ``H^2`` check, which restarts the reduction there."""
+    Hermite forms.  At bound 2 the 4x3 rank-1 case runs out of pivots
+    first, and its certificate rows then fail the ``H^2`` check, which
+    restarts the reduction there.  Dense inputs reach the real bound too:
+    the certificate rows of a dense random 20x20 outgrow ``H^2``, so
+    :func:`snf` restarts on it while :func:`smith_diagonal` does not."""
+
+    def test_dense_certificates_restart_at_the_real_bound(self, monkeypatch):
+        rng = random.Random(0)
+        m = IntMatrix(20, 20, tuple(rng.randint(-9, 9) for _ in range(400)))
+        calls, hermite = [], intmat._hermite
+
+        def counted(w, c):
+            calls.append(len(w))
+            hermite(w, c)
+
+        monkeypatch.setattr(intmat, "_hermite", counted)
+        diag = smith_diagonal(m)
+        assert calls == []
+        assert snf(m).diagonal() == diag
+        assert calls
+        TestSNF()._check_invariants(m)
 
     def test_fallbacks_agree_with_sympy(self, monkeypatch):
         from sympy import Matrix, ZZ

@@ -255,15 +255,20 @@ class TestGraphNativeHomology:
 class TestOneWalkPerGraph:
     """The component count and the cycle come from one cached walk, so a
     graph descriptor walks its graph once (a cycle, also one whose edge signs
-    were normalized) or twice (a tree, whose homology walks it again)."""
+    were normalized) or twice (a tree, whose homology walks it again).  A
+    path given by its weights is built directly, so no parse caches its
+    walk: its homology alone walks it, unless that homology is Z and the
+    tree test walks it once more (the S^1 x S^2 seed)."""
 
-    @pytest.mark.parametrize("text, walks", [
+    @pytest.mark.parametrize("source, walks", [
         ("vertex a -3\nvertex b -3\nvertex c -3\nedge a b +\nedge b c +\nedge c a +\n", 1),
         (SEED_PATH_TEXT, 2),
         # two negative cycle edges: the sign-normalized graph keeps the walk
         ("vertex a -3\nvertex b -3\nvertex c -3\nedge a b -\nedge b c -\nedge c a +\n", 1),
-    ], ids=["3-cycle", "4-path", "3-cycle-normalized"])
-    def test_evaluate_graph(self, monkeypatch, text, walks):
+        ((-2, -2, -2), 1),
+        ((-1, -2, -2, -1), 2),
+    ], ids=["3-cycle", "4-path", "3-cycle-normalized", "3-path-built", "4-path-seed-built"])
+    def test_evaluate_graph(self, monkeypatch, source, walks):
         calls, forest = [], plumbing._spanning_forest
 
         def counted(g):
@@ -271,7 +276,7 @@ class TestOneWalkPerGraph:
             return forest(g)
 
         monkeypatch.setattr(plumbing, "_spanning_forest", counted)
-        evaluate_graph(parse_graph(text))
+        evaluate_graph(parse_graph(source) if isinstance(source, str) else path_graph(source))
         assert len(calls) == walks
 
 

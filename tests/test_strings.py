@@ -230,6 +230,13 @@ class TestSyntax:
         with pytest.raises(DomainError):
             parse_family_params("k=1;x=0")
 
+    def test_family_params_fields(self):
+        assert parse_family_params("x=0,0,0;k=1") == FamilyParams(1, (0, 0, 0))
+        for text in ("k=1;x=0,0,0;junk", "k=1;x=0,0,0;k=2", "k=1;x=0,0,0;", "k=1;k=1"):
+            with pytest.raises(DomainError) as err:
+                parse_family_params(text)
+            assert err.value.code == "family-syntax", text
+
 
 family_params = st.integers(0, 3).flatmap(
     lambda k: st.lists(
