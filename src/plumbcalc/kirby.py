@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .errors import ContractError, DomainError
 from .sl2 import (
-    MonodromyWord,
     SL2Element,
     _format_list,
+    _framed_word,
     _parse_list,
     _token_lines,
     rotation_equivalent,
@@ -58,14 +58,9 @@ class ChainState:
         object.__setattr__(self, "framings", tuple(map(int, self.framings)))
 
 
-def _word(framings, eps: int = 1) -> MonodromyWord:
-    # T^{f} S is the word factor T^{-a} S with a = -f
-    return MonodromyWord(tuple(-f for f in framings), eps)
-
-
 def chain_monodromy(c: ChainState) -> SL2Element:
     """``eps * T^{f_1} S ... T^{f_n} S``, exact."""
-    return word_to_matrix(_word(c.framings, c.eps))
+    return word_to_matrix(_framed_word(c.framings, c.eps))
 
 
 def _blow(fr: list[int] | deque[int], i: int, e: int, up: bool) -> None:
@@ -131,9 +126,9 @@ def _cut(fr: list[int], r: int) -> SL2Element:
     the prefix product P when 2r <= n, else the inverse of the suffix
     product Q.  Both conjugate eps*P*Q into eps*Q*P."""
     if 2 * r <= len(fr):
-        conj = word_to_matrix(_word(fr[:r]))
+        conj = word_to_matrix(_framed_word(fr[:r]))
     else:
-        conj = word_to_matrix(_word(fr[r:])).inverse()
+        conj = word_to_matrix(_framed_word(fr[r:])).inverse()
     fr[:] = fr[r:] + fr[:r]
     return conj
 

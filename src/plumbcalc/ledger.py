@@ -32,6 +32,7 @@ from .errors import DomainError
 from .intmat import AbelianGroupDesc, det, is_perfect_square
 from .sl2 import (
     MonodromyWord,
+    _framed_word,
     _token_lines,
     format_word,
     lex_min_rotation,
@@ -100,8 +101,7 @@ def _word_verdict(w: MonodromyWord) -> tuple[str, str]:
 def _graph_verdict(g: PlumbingGraph) -> tuple[str, str]:
     if pc.plumbing.is_pure_cycle(g):
         # pure cycle: defer to the word-level rules via the traversal word
-        weights, sign = pc.plumbing.cycle_traversal(g)
-        return _word_verdict(MonodromyWord(tuple(-w for w in weights), sign))
+        return _word_verdict(_framed_word(*pc.plumbing.cycle_traversal(g)))
     homology = pc.plumbing.boundary_homology(g)
     if homology == AbelianGroupDesc(1, ()) and g.is_tree():
         return STATUS_BOUNDS, "s1xs2-base(homology-level)"

@@ -82,9 +82,7 @@ def has_infinite_order(p: SurgeryPresentation, k: KnotClass) -> bool:
     the rational column span of the linking matrix."""
     _check_dimensions(p, k)
     l = p.linking
-    augmented = IntMatrix.from_rows(
-        [list(row) + [k.kappa[i]] for i, row in enumerate(l.to_rows())]
-    ) if l.rows else IntMatrix(0, 1, ())
+    augmented = IntMatrix.from_rows([row + [k.kappa[i]] for i, row in enumerate(l.to_rows())])
     return rank(augmented) > rank(l)
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .errors import DomainError
 from .intmat import AbelianGroupDesc, IntMatrix, abelian_group_of
-from .sl2 import MonodromyWord, SL2Element, _token_lines, word_to_matrix
+from .sl2 import MonodromyWord, SL2Element, _framed_word, _token_lines, word_to_matrix
 
 __all__ = [
     "PlumbingGraph",
@@ -306,13 +306,8 @@ def cycle_plumbing_from_word(w: MonodromyWord) -> PlumbingGraph:
         )
     names = _cycle_vertex_names(n)
     vertices = tuple((names[i], -a[i]) for i in range(n))
-    if n == 1:
-        edges: tuple = ((names[0], names[0], w.sign),)
-    else:
-        edges = tuple(
-            (names[i], names[i + 1], 1) for i in range(n - 1)
-        ) + ((names[n - 1], names[0], w.sign),)
-    return PlumbingGraph(vertices, edges)
+    edges = tuple((names[i], names[i + 1], 1) for i in range(n - 1))
+    return PlumbingGraph(vertices, edges + ((names[-1], names[0], w.sign),))
 
 
 def cycle_traversal(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
@@ -339,7 +334,7 @@ def cycle_monodromy(g: PlumbingGraph) -> tuple[SL2Element, int]:
     """Monodromy of a pure cycle graph: the product of T^{w_i} S over the
     cycle traversal, with the product of edge signs reported separately."""
     weights, sign = cycle_traversal(g)
-    return word_to_matrix(MonodromyWord(tuple(-w for w in weights))), sign
+    return word_to_matrix(_framed_word(weights)), sign
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -349,6 +344,15 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
+def _identify(vertices, edges, v1: str, v2: str) -> PlumbingGraph:
+    """Merge vertex ``v2`` into ``v1``, summing their weights, and move its
+    edge ends to ``v1`` (a sign is never a name); other edges keep their tuples."""
+    w2 = dict(vertices)[v2]
+    merged = tuple((n, w + w2) if n == v1 else (n, w) for n, w in vertices if n != v2)
+    moved = tuple(tuple(v1 if x == v2 else x for x in e) if v2 in e else e for e in edges)
+    return PlumbingGraph(merged, moved)
+
+
 def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGraph:
     """Join two plumbing trees by identifying ``v1`` and ``v2``; the merged
     vertex takes the sum of the two weights.  Vertices of ``g2`` that clash
@@ -356,25 +360,19 @@ def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGrap
     if not g1.is_tree() or not g2.is_tree():
         raise DomainError("non-tree", "join needs two plumbing trees")
     g1.weight(v1)
-    w2 = g2.weight(v2)
+    g2.weight(v2)
 
     taken = set(g1.names)
     rename: dict[str, str] = {}
     for name, _ in g2.vertices:
-        if name == v2:
-            rename[name] = v1
-            continue
-        fresh = _fresh_name(name, taken)
-        rename[name] = fresh
-        taken.add(fresh)
+        if name != v2:
+            rename[name] = _fresh_name(name, taken)
+            taken.add(rename[name])
+    rename[v2] = _fresh_name(v2, taken)  # a placeholder, merged into v1
 
-    vertices = [
-        (n, w + w2) if n == v1 else (n, w) for n, w in g1.vertices
-    ]
-    vertices.extend((rename[n], w) for n, w in g2.vertices if n != v2)
-    edges = list(g1.edges)
-    edges.extend((rename[u], rename[v], s) for u, v, s in g2.edges)
-    return PlumbingGraph(tuple(vertices), tuple(edges))
+    vertices = g1.vertices + tuple((rename[n], w) for n, w in g2.vertices)
+    edges = g1.edges + tuple((rename[u], rename[v], s) for u, v, s in g2.edges)
+    return _identify(vertices, edges, v1, rename[v2])
 
 
 def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
@@ -391,21 +389,15 @@ def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
         raise DomainError("same-vertex", "self-join needs two distinct vertices")
     if not g.is_tree():
         raise DomainError("non-tree", "self-join needs a plumbing tree")
-    w1, w2 = g.weight(v1), g.weight(v2)
+    g.weight(v1)
+    g.weight(v2)
 
     path = _tree_path(_spanning_forest(g)[1], v2, v1)
     edges = list(g.edges)
     for rank, (_, idx) in enumerate(path):
         u, v, _ = edges[idx]
         edges[idx] = (u, v, sign if rank == 0 else 1)
-
-    vertices = tuple(
-        (n, w1 + w2) if n == v1 else (n, w) for n, w in g.vertices if n != v2
-    )
-    remapped = tuple(
-        (v1 if u == v2 else u, v1 if v == v2 else v, s) for u, v, s in edges
-    )
-    return PlumbingGraph(vertices, remapped)
+    return _identify(g.vertices, edges, v1, v2)
 
 
 @dataclass(frozen=True)

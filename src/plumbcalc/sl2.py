@@ -97,6 +97,12 @@ def word_to_matrix(w: MonodromyWord) -> SL2Element:
     return -m if w.sign < 0 else m
 
 
+def _framed_word(framings, sign: int = 1) -> MonodromyWord:
+    """The word of ``sign * T^{f_1} S ... T^{f_n} S``: chain framings and
+    plumbing weights are the negated word coefficients (T^f S = T^{-a} S)."""
+    return MonodromyWord(tuple(-f for f in framings), sign)
+
+
 class BundleType(Enum):
     ELLIPTIC = "elliptic"
     PARABOLIC = "parabolic"
@@ -153,7 +159,7 @@ def square_trace_check(m: SL2Element) -> tuple[int, bool]:
 
 
 def _least_rotation(s: tuple) -> int:
-    """Start index of the lexicographically least rotation of nonempty ``s``.
+    """Start index of the lexicographically least rotation of ``s`` (0 if empty).
 
     Booth's algorithm (Inf. Process. Lett. 10(4), 1980): a Knuth-Morris-Pratt
     failure function over the doubled word, O(n) comparisons."""
@@ -179,8 +185,6 @@ def _least_rotation(s: tuple) -> int:
 def lex_min_rotation(seq) -> tuple:
     """The lexicographically smallest rotation; canonical form of a cyclic word."""
     s = tuple(seq)
-    if not s:
-        return s
     k = _least_rotation(s)
     return s[k:] + s[:k]
 

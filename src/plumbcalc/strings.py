@@ -209,9 +209,6 @@ def split_relabel(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def parse_int_string(text: str) -> tuple[int, ...]:
     """Parse ``3,2,2`` into a tuple of integers."""
-    text = text.strip()
-    if not text:
-        raise DomainError("string-syntax", "empty string")
     return _parse_list(text, "string-syntax")
 
 

@@ -185,3 +185,63 @@ def reference_dualize(a):
             remaining -= 1
     start = ChainState(tuple(-x for x in a), 1)
     return DualizeResult(start, ChainState(tuple(fr), eps), witness, ups, downs)
+
+
+def reference_join(g1, v1, g2, v2):
+    """Reference join: each ``g2`` vertex renamed in declaration order, ``v2``
+    mapped straight to ``v1``, the weights summed in place.  The library's
+    join merges through the same vertex identification as its self-join."""
+    from plumbcalc.errors import DomainError
+    from plumbcalc.plumbing import PlumbingGraph, _fresh_name
+
+    if not g1.is_tree() or not g2.is_tree():
+        raise DomainError("non-tree", "join needs two plumbing trees")
+    g1.weight(v1)
+    w2 = g2.weight(v2)
+
+    taken = set(g1.names)
+    rename = {}
+    for name, _ in g2.vertices:
+        if name == v2:
+            rename[name] = v1
+            continue
+        fresh = _fresh_name(name, taken)
+        rename[name] = fresh
+        taken.add(fresh)
+
+    vertices = [
+        (n, w + w2) if n == v1 else (n, w) for n, w in g1.vertices
+    ]
+    vertices.extend((rename[n], w) for n, w in g2.vertices if n != v2)
+    edges = list(g1.edges)
+    edges.extend((rename[u], rename[v], s) for u, v, s in g2.edges)
+    return PlumbingGraph(tuple(vertices), tuple(edges))
+
+
+def reference_self_join(g, v1, v2, sign):
+    """Reference self-join: the tree path's signs fixed, then ``v2`` dropped
+    and every edge end at it remapped to ``v1``."""
+    from plumbcalc.errors import DomainError
+    from plumbcalc.plumbing import PlumbingGraph, _spanning_forest, _tree_path
+
+    if sign not in (1, -1):
+        raise DomainError("bad-sign", "self-join sign must be +1 or -1")
+    if v1 == v2:
+        raise DomainError("same-vertex", "self-join needs two distinct vertices")
+    if not g.is_tree():
+        raise DomainError("non-tree", "self-join needs a plumbing tree")
+    w1, w2 = g.weight(v1), g.weight(v2)
+
+    path = _tree_path(_spanning_forest(g)[1], v2, v1)
+    edges = list(g.edges)
+    for rank, (_, idx) in enumerate(path):
+        u, v, _ = edges[idx]
+        edges[idx] = (u, v, sign if rank == 0 else 1)
+
+    vertices = tuple(
+        (n, w1 + w2) if n == v1 else (n, w) for n, w in g.vertices if n != v2
+    )
+    remapped = tuple(
+        (v1 if u == v2 else u, v1 if v == v2 else v, s) for u, v, s in edges
+    )
+    return PlumbingGraph(vertices, remapped)

@@ -239,6 +239,19 @@ class TestPlumbCommands:
         g = parse_graph(out)
         assert g.weight("d") == -2
 
+    def test_join_renames_clashes_exactly(self, capsys, graph_file, tmp_path):
+        # a' keeps its name; a takes the next free one, a''
+        clash = tmp_path / "clash.graph"
+        clash.write_text("vertex a' -2\nvertex c -3\nvertex a -2\nedge a' c +\nedge c a -\n")
+        code, out, _ = invoke(
+            capsys, "plumb", "join", graph_file, str(clash), "--v1", "b", "--v2", "c",
+        )
+        assert code == 0
+        assert out == (
+            "vertex a -1\nvertex b -5\nvertex c -2\nvertex d -1\nvertex a' -2\nvertex a'' -2\n"
+            "edge a b +\nedge b c +\nedge c d +\nedge a' b +\nedge b a'' -\n"
+        )
+
     def test_checkjoin(self, capsys, graph_file):
         code, out, _ = invoke(capsys, "plumb", "checkjoin", graph_file, "--v", "b")
         assert code == 0

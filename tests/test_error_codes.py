@@ -2,7 +2,8 @@
 
 The table holds one row for each code that no other test names: a library
 call, or a CLI argv run where one reaches the code.  A contract row patches
-the check it guards, so the contract itself fires.
+the check it guards, so the contract itself fires.  A second table reaches
+the raise sites whose code another test already names, but at another site.
 """
 
 import re
@@ -17,7 +18,7 @@ from plumbcalc.cli import main
 from plumbcalc.errors import DomainError
 from plumbcalc.intmat import AbelianGroupDesc, IntMatrix
 from plumbcalc.kirby import ChainState
-from plumbcalc.plumbing import PlumbingGraph
+from plumbcalc.plumbing import PlumbingGraph, parse_graph, self_join
 from plumbcalc.sl2 import MonodromyWord, SL2Element
 
 SEED = "vertex a -1\nvertex b -2\nvertex c -2\nvertex d -1\nedge a b +\nedge b c +\nedge c d +\n"
@@ -30,6 +31,13 @@ FILES = {
     "empty.build": "# defines nothing\n",
     "twice.build": "tree X seed.graph\ntree X seed.graph\n",
     "unknown.build": "tree X seed.graph\njoin H X b Y a\n",
+    "wide.mat": "2 3\n1 2 3\n4 5 6\n",
+    "negative.mat": "-1 2\n",
+    "asym.mat": "2 2\n0 1\n2 0\n",
+    "weight.graph": "vertex a x\n",
+    "c3.graph": "vertex a -3\nvertex b -3\nvertex c -3\nedge a b +\nedge b c +\nedge c a +\n",
+    "up.script": "up 0 2\n",
+    "down.script": "down x\n",
 }
 
 # (code, call, patch): a call is a function raising the code, or a CLI argv
@@ -58,8 +66,47 @@ ROWS = [
 ]
 
 
+# (site, code, call): raise sites that no other test reaches, though their
+# codes are named at other sites; a call is as in ROWS
+WIDE = IntMatrix(2, 3, (1, 2, 3, 4, 5, 6))
+SITES = [
+    ("IntMatrix-negative-rows", "bad-shape", lambda: IntMatrix(-1, 0, ())),
+    ("IntMatrix-entry-count", "bad-shape", lambda: IntMatrix(2, 2, (1,))),
+    ("matmul-inner-dimensions", "bad-shape", lambda: WIDE @ WIDE),
+    ("AbelianGroupDesc-free-rank", "bad-group", lambda: AbelianGroupDesc(-1, ())),
+    ("signature-non-square", "non-square", ["mat", "signature", "wide.mat"]),
+    ("parse_matrix_text-negative-rows", "matrix-syntax", ["mat", "det", "negative.mat"]),
+    ("ChainState-eps", "bad-sign", lambda: ChainState((1,), 2)),
+    ("blow_up-framing", "framing-not-unit",
+     ["kirby", "run", "chain -3,-1,-3 sign=+", "--script", "up.script"]),
+    ("parse_chain-no-framings", "chain-syntax", ["kirby", "run", "chain", "--script", "up.script"]),
+    ("parse_chain-sign-field", "chain-syntax",
+     ["kirby", "run", "chain -3,-1 sign=x", "--script", "up.script"]),
+    ("run_script-integer", "script-syntax",
+     ["kirby", "run", "chain -3,-1,-3", "--script", "down.script"]),
+    ("parabolic-sugar-exponent", "descriptor-syntax", ["ledger", "eval", "--", "-T^x"]),
+    ("SurgeryPresentation-symmetric", "non-symmetric",
+     ["obstruct", "attach", "asym.mat", "--kappa", "1,0", "--framing", "0"]),
+    ("parse_graph-weight", "graph-syntax", ["plumb", "homology", "weight.graph"]),
+    ("self_join-sign", "bad-sign", lambda: self_join(parse_graph(SEED), "a", "b", 2)),
+    ("self_join-tree", "non-tree", ["plumb", "selfjoin", "c3.graph", "--v1", "a", "--v2", "b",
+                                    "--sign", "+"]),
+    ("check_join_hypotheses-tree", "non-tree", ["plumb", "checkjoin", "c3.graph", "--v", "a"]),
+    ("FamilyParams-k", "bad-family-params", ["family", "gen", "k=-1;x="]),
+]
+
+
 @pytest.mark.parametrize("code, call, patch", ROWS, ids=[row[0] for row in ROWS])
 def test_code_is_raised(code, call, patch, tmp_path, monkeypatch, capsys):
+    check_raises(code, call, patch, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("code, call", [row[1:] for row in SITES], ids=[row[0] for row in SITES])
+def test_site_is_reached(code, call, tmp_path, monkeypatch, capsys):
+    check_raises(code, call, None, tmp_path, monkeypatch, capsys)
+
+
+def check_raises(code, call, patch, tmp_path, monkeypatch, capsys):
     if patch is not None:
         monkeypatch.setattr(*patch)
     if isinstance(call, list):

@@ -32,6 +32,10 @@ class TestHasInfiniteOrder:
         p = presentation([[0, 0], [0, 2]])
         assert not has_infinite_order(p, KnotClass((0, 1), 0))
 
+    def test_no_components(self):
+        # the empty class of the empty presentation (S^3) is zero
+        assert not has_infinite_order(SurgeryPresentation(IntMatrix(0, 0, ())), KnotClass((), 0))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError) as err:
             has_infinite_order(presentation([[0]]), KnotClass((1, 0), 0))

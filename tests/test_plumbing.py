@@ -24,7 +24,7 @@ from plumbcalc.plumbing import (
 )
 from plumbcalc.sl2 import MonodromyWord, SL2Element, word_to_matrix
 
-from conftest import best_cpu_seconds, hyperbolic_strings
+from conftest import best_cpu_seconds, hyperbolic_strings, reference_join, reference_self_join
 
 
 def path_graph(weights, names=None):
@@ -435,6 +435,56 @@ class TestSelfJoin:
         for v1, v2 in [("a", "d"), ("a", "c"), ("b", "d"), ("a", "b")]:
             for sign in (1, -1):
                 assert self_join(SEED_PATH, v1, v2, sign).cycle_count == 1
+
+
+# names that clash across two trees and collide with each other's primes
+CLASH_NAMES = [base + "'" * k for base in "abc" for k in range(3)]
+
+
+@st.composite
+def clashing_trees(draw, min_size=1):
+    """Trees of min_size to 7 vertices named from :data:`CLASH_NAMES` in a
+    random declaration order, with weights in -6..6 and shuffled edges."""
+    names = draw(st.lists(st.sampled_from(CLASH_NAMES), min_size=min_size, max_size=7, unique=True))
+    weights = draw(st.lists(st.integers(-6, 6), min_size=len(names), max_size=len(names)))
+    edges = [(names[draw(st.integers(0, i - 1))], names[i], draw(st.sampled_from((1, -1))))
+             for i in range(1, len(names))]
+    edges = [(v, u, s) if draw(st.booleans()) else (u, v, s) for u, v, s in edges]
+    return PlumbingGraph(tuple(zip(names, weights)), tuple(draw(st.permutations(edges))))
+
+
+POSITIONS = ("first", "middle", "last")
+
+
+def at(names, where):
+    return names[{"first": 0, "middle": len(names) // 2, "last": -1}[where]]
+
+
+class TestMergeMatchesReference:
+    """join and self-join end in one vertex identification; the parent's
+    separate merges (conftest) are the oracle.  ``v2`` sits first, in the
+    middle or last in its tree's declaration order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clashing_trees(), clashing_trees(), st.sampled_from(POSITIONS), st.data())
+    def test_join(self, g1, g2, where, data):
+        v1 = data.draw(st.sampled_from(g1.names))
+        v2 = at(g2.names, where)
+        out = join(g1, v1, g2, v2)
+        expected = reference_join(g1, v1, g2, v2)
+        assert out == expected
+        assert format_graph(out) == format_graph(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(clashing_trees(min_size=2), st.sampled_from(POSITIONS),
+           st.sampled_from((1, -1)), st.data())
+    def test_self_join(self, g, where, sign, data):
+        v2 = at(g.names, where)
+        v1 = data.draw(st.sampled_from([n for n in g.names if n != v2]))
+        out = self_join(g, v1, v2, sign)
+        expected = reference_self_join(g, v1, v2, sign)
+        assert out == expected
+        assert format_graph(out) == format_graph(expected)
 
 
 class TestJoinHypotheses:
