@@ -95,8 +95,6 @@ def _plumb_checkjoin(args) -> list[str]:
 
 def _kirby_run(args) -> list[str]:
     chain = pc.kirby.parse_chain(args.chain)
-    if args.sign:
-        chain = pc.kirby.ChainState(chain.framings, _sign(args.sign))
     final, witness = pc.kirby.run_script(chain, _read(args.script).splitlines())
     m = pc.kirby.chain_monodromy(final)
     certified = witness @ m @ witness.inverse() == pc.kirby.chain_monodromy(chain)
@@ -179,7 +177,7 @@ COMMANDS = (
     ("plumb checkjoin", "join-transfer hypotheses at a vertex",
      ("graph", ("--v", _REQUIRED)), _plumb_checkjoin),
     ("kirby run", "apply a move script to a chain",
-     (("chain", {"help": "e.g. -3,-1,-3"}), ("--sign", _SIGN), ("--script", _REQUIRED)),
+     (("chain", {"help": "e.g. -3,-1,-3"}), ("--script", _REQUIRED)),
      _kirby_run),
     ("kirby dualize", "two-block normal form of a family chain", ("string",), _kirby_dualize),
     ("obstruct square", "square-order necessary condition", (("n", {"type": int}),),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
-from math import inf, isqrt
+from math import inf, isqrt, prod
 
 from .errors import DomainError
 
@@ -139,10 +139,7 @@ class AbelianGroupDesc:
 
     @property
     def torsion_order(self) -> int:
-        out = 1
-        for f in self.torsion_factors:
-            out *= f
-        return out
+        return prod(self.torsion_factors)
 
     def describe(self) -> str:
         """Render as e.g. ``Z+Z/4`` or ``Z^2+Z/2+Z/2``; trivial group is ``0``."""
@@ -373,8 +370,7 @@ def _smith(m: IntMatrix, track: bool):
                 grown = True
                 continue
             return mat, u, vt
-        if pi != t:
-            mat[t], mat[pi], u[t], u[pi] = mat[pi], mat[t], u[pi], u[t]
+        mat[t], mat[pi], u[t], u[pi] = mat[pi], mat[t], u[pi], u[t]
         if pj != t:
             for row in mat[t:]:
                 row[t], row[pj] = row[pj], row[t]

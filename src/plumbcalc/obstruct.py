@@ -68,19 +68,15 @@ class KnotClass:
         object.__setattr__(self, "kappa", tuple(map(int, self.kappa)))
 
 
-def _check_dimensions(p: SurgeryPresentation, k: KnotClass) -> None:
+def has_infinite_order(p: SurgeryPresentation, k: KnotClass) -> bool:
+    """True iff the class is nonzero in H_1 tensor Q, i.e. kappa lies outside
+    the rational column span of the linking matrix."""
     if len(k.kappa) != p.linking.rows:
         raise DomainError(
             "dimension-mismatch",
             f"class has {len(k.kappa)} linking numbers for a "
             f"{p.linking.rows}-component presentation",
         )
-
-
-def has_infinite_order(p: SurgeryPresentation, k: KnotClass) -> bool:
-    """True iff the class is nonzero in H_1 tensor Q, i.e. kappa lies outside
-    the rational column span of the linking matrix."""
-    _check_dimensions(p, k)
     l = p.linking
     augmented = IntMatrix.from_rows([row + [k.kappa[i]] for i, row in enumerate(l.to_rows())])
     return rank(augmented) > rank(l)

@@ -82,8 +82,7 @@ class PlumbingGraph:
         return len(self.edges) - len(self.vertices) + self.component_count()
 
     def is_tree(self) -> bool:
-        n = len(self.vertices)
-        return n > 0 and len(self.edges) == n - 1 and self.component_count() == 1
+        return len(self.edges) == len(self.vertices) - 1 and self.component_count() == 1
 
 
 def _adjacency(g: PlumbingGraph) -> dict[str, list[tuple[str, int]]]:
@@ -277,7 +276,7 @@ def is_pure_cycle(g: PlumbingGraph) -> bool:
 
 
 def _cycle_vertex_names(n: int) -> list[str]:
-    width = len(str(n - 1)) if n > 1 else 1
+    width = len(str(n - 1))
     return [f"v{str(i).zfill(width)}" for i in range(n)]
 
 
@@ -295,7 +294,7 @@ def cycle_plumbing_from_word(w: MonodromyWord) -> PlumbingGraph:
     """
     a = w.coeffs
     n = len(a)
-    hyperbolic = w.sign > 0 and n >= 1 and all(x >= 2 for x in a) and any(x >= 3 for x in a)
+    hyperbolic = w.sign > 0 and all(x >= 2 for x in a) and any(x >= 3 for x in a)
     parabolic_neg = w.sign < 0 and n >= 2 and all(x == 2 for x in a)
     parabolic_pos = w.sign < 0 and n >= 2 and all(x == -2 for x in a)
     if not (hyperbolic or parabolic_neg or parabolic_pos):

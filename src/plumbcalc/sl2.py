@@ -191,8 +191,7 @@ def lex_min_rotation(seq) -> tuple:
 
 def rotation_equivalent(a, b) -> bool:
     """True iff ``b`` is a cyclic rotation of ``a`` (conjugate words)."""
-    a, b = tuple(a), tuple(b)
-    return len(a) == len(b) and lex_min_rotation(a) == lex_min_rotation(b)
+    return lex_min_rotation(a) == lex_min_rotation(b)
 
 
 def _parse_list(text: str, code: str) -> tuple[int, ...]:

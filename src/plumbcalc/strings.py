@@ -144,7 +144,7 @@ def _family_parse(a: tuple[int, ...]) -> tuple[FamilyParams, int] | None:
     either every such rotation parses or none does, and the first one is
     the smallest rotation index that parses.
     """
-    if not a or any(x < 2 for x in a):
+    if any(x < 2 for x in a):
         return None
     starts = [r for r, x in enumerate(a) if x >= 3]
     n = len(starts)

@@ -73,6 +73,15 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "mono", "3", "--bogus")
         assert code == 2
 
+    def test_other_value_error_is_not_too_large(self, monkeypatch):
+        # only the int-to-str digit limit reads as error=too-large; a bug raises
+        def boom(_):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("plumbcalc.strings.dual_string", boom)
+        with pytest.raises(ValueError, match="boom"):
+            main(["dual", "2,2"])
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "plumb", "form", "/nonexistent/file.graph")
         assert code == 2
@@ -279,6 +288,18 @@ class TestKirbyCommands:
         assert code == 0
         assert "framings=-2,2" in out
         assert "certified=yes" in out
+
+    def test_run_negative_chain_sign(self, capsys, tmp_path):
+        # the chain's own sign= field is the one way to set eps
+        script = tmp_path / "down.script"
+        script.write_text("down 1\n")
+        argv = ["kirby", "run", "chain -3,-1,-3 sign=-", "--script", str(script)]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out == "framings=-2,-2\neps=-\nmonodromy=-3,-2;2,1\ncertified=yes\n"
+        code, _, err = invoke(capsys, *argv, "--sign", "-")
+        assert code == 2
+        assert "unrecognized arguments: --sign" in err
 
     def test_dualize(self, capsys):
         code, out, _ = invoke(capsys, "kirby", "dualize", "3,3,3")

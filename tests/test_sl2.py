@@ -156,6 +156,7 @@ class TestSL2Element:
     def test_inverse(self):
         m = SL2Element(5, 2, -3, -1)
         assert m @ m.inverse() == SL2Element.identity()
+        assert str(SL2Element(2, 1, 1, 1)) == "[[2,1],[1,1]]"
 
 
 class TestLeastRotationOracle:
