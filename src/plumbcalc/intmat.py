@@ -6,9 +6,9 @@ the determinant, the rank and the signature.  A square symmetric matrix of
 at least ``_SPARSE_MIN`` (80) rows with at most 3n nonzeros, such as a
 plumbing form, gets its determinant and signature from the same elimination
 on its nonzeros instead, pivoting in least-degree order.  Smith reduction
-starts over with Hermite forms kept reduced should its entries outgrow the
-Hadamard bound of its input.  This is the kernel that the monodromy,
-plumbing and obstruction layers build on.
+pivots on the smallest entry and starts over with Hermite forms kept
+reduced should its entries outgrow the Hadamard bound of its input; with
+certificates, a large dense input starts on the Hermite forms.
 """
 
 from __future__ import annotations
@@ -334,14 +334,15 @@ def _smith(m: IntMatrix, track: bool):
     enforced at each pivot: cheap on sparse forms, whose pivots are mostly
     units.  Should an entry exceed the Hadamard bound ``H = (sqrt(k) B)^k``
     of ``m`` (``k`` the smaller dimension, ``B`` the largest entry), or a
-    finished certificate row ``H^2``, the reduction starts over from ``m``
-    diagonalized by row and column Hermite forms kept reduced (Kannan-Bachem
-    1979), and then only enforces the divisor chain.  Sizes are not checked
-    after that restart: the certificate bound is a checked guarantee on the
-    smallest-pivot path only, and on the restart path a measured one."""
+    finished certificate row ``H^2``, it starts over from ``m`` with row and
+    column Hermite forms kept reduced (Kannan-Bachem 1979), then only
+    enforces the divisor chain and checks no size.  With ``track``, a dense
+    ``m`` (over half nonzero, both sides at least ``_HERMITE_MIN``) starts
+    there, which the README's crossover table measures as faster."""
     nr, nc, mat = m.rows, m.cols, m.to_rows()
     u, vt = (_identity(nr), _identity(nc)) if track else ([[]] * nr, [[]] * nc)
-    limit, grown, full, t = None, False, True, 0  # full: search all the block
+    grown = track and min(nr, nc) >= _HERMITE_MIN and 2 * m.entries.count(0) < nr * nc
+    limit, full, t = inf if grown else None, True, 0  # full: search all the block
     while True:
         best, top, pi, pj = 0, 0, -1, -1
         for i in range(t, nr):
@@ -427,8 +428,7 @@ def snf(m: IntMatrix) -> SNFResult:
     Returns ``SNFResult(d, u, v)`` with ``u @ m @ v == d``, ``u`` and ``v``
     unimodular, and ``d`` diagonal with nonnegative entries in a divisor
     chain.  ``d`` is the unique such diagonal; ``u`` and ``v`` are one valid
-    choice, whose size is bounded by a check only while no restart is
-    needed (see ``_smith``).
+    choice; the README's Smith note says how their size is bounded.
     """
     work, u, vt = _smith(m, track=True)
     return SNFResult(
@@ -443,6 +443,8 @@ def snf(m: IntMatrix) -> SNFResult:
 # path's det and signature cost 2.0-2.6x Bareiss's at n = 16, 1.3-1.9x at
 # 32, 0.8-1.3x at 64, 0.8-1.07x at 80 and 0.5-0.8x at 128.
 _SPARSE_MIN = 80
+# From this size a dense snf starts on Hermite forms: crossover table in README.md.
+_HERMITE_MIN = 16
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict[int, int]] | None:

@@ -117,11 +117,9 @@ def rohlin_mu(m: IntMatrix) -> int:
     """Rohlin invariant bit from an even unimodular symmetric presentation:
     (signature mod 16) / 8.  Requires every diagonal entry even and
     |det| = 1 (the signature of such a form is divisible by 8)."""
-    if not m.is_symmetric:
-        raise DomainError("non-symmetric", "Rohlin invariant needs a symmetric matrix")
-    if any(m.at(i, i) % 2 for i in range(m.rows)):
+    if any(x % 2 for x in m.diagonal()) and m.is_symmetric:  # else non-symmetric comes first
         raise DomainError("odd-diagonal", "the form must be even (all diagonal entries even)")
-    d, sigma = _det_signature(m)
+    d, sigma = _det_signature(m)  # checks symmetry before it eliminates
     if abs(d) != 1:
         raise DomainError("determinant-not-unit", "the presentation must be unimodular")
     residue = sigma % 16

@@ -371,7 +371,9 @@ def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGrap
 
     vertices = g1.vertices + tuple((rename[n], w) for n, w in g2.vertices)
     edges = g1.edges + tuple((rename[u], rename[v], s) for u, v, s in g2.edges)
-    return _identify(vertices, edges, v1, rename[v2])
+    joined = _identify(vertices, edges, v1, rename[v2])
+    joined.__dict__["_walk"] = (1, ())  # two trees merged at one vertex: one component, no cycle
+    return joined
 
 
 def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:

@@ -357,6 +357,135 @@ class TestGrowthFallbacks:
                 TestSNF()._check_invariants(m)
 
 
+def _lu(rng, n):
+    """A dense unimodular L U, off-diagonal entries of L and U in -1..1."""
+    lower = [[int(i == j) if j >= i else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    return mat(lower) @ mat(upper)
+
+
+def _diagonal(d):
+    n = len(d)
+    return IntMatrix(n, n, tuple(d[i] if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def _dense_kind(rng, kind, n):
+    """Dense inputs of the three kinds: random entries -9..9, U diag(d) V
+    with the divisor chain d = 1, ..., 1, a, ab, abc, and P^T diag(+-1, 0) P."""
+    if kind == "random":
+        return _random_dense(rng, n, n)
+    if kind == "udv":
+        d = [1] * n
+        for i in range(n - 3, n):
+            d[i] = d[i - 1] * rng.choice((1, 2, 3))
+        return _lu(rng, n) @ _diagonal(d) @ _lu(rng, n)
+    p, d = _lu(rng, n), [rng.choice((1, -1)) for _ in range(n)]
+    d[rng.randrange(n)] = 0
+    return p.transpose() @ _diagonal(d) @ p
+
+
+KINDS = ("random", "udv", "sym")
+
+
+def _is_dense(m):
+    return 2 * m.entries.count(0) < len(m.entries)
+
+
+def _smith_events(monkeypatch):
+    """Record ``_hermite`` calls and ``_axpy`` row operations in call order."""
+    events, hermite, axpy = [], intmat._hermite, intmat._axpy
+
+    def counted_hermite(w, c):
+        events.append("hermite")
+        hermite(w, c)
+
+    def counted_axpy(dst, src, c):
+        events.append("axpy")
+        axpy(dst, src, c)
+
+    monkeypatch.setattr(intmat, "_hermite", counted_hermite)
+    monkeypatch.setattr(intmat, "_axpy", counted_axpy)
+    return events
+
+
+class TestDenseStart:
+    """With certificates, a dense input of at least ``_HERMITE_MIN`` rows and
+    columns goes straight to the Hermite forms that the growth restart runs;
+    sparse and smaller inputs keep the smallest-pivot start, and
+    :func:`smith_diagonal` always does."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_answer_as_the_smallest_pivot_start(self, monkeypatch, kind):
+        rng = random.Random(2012)
+        events, start = _smith_events(monkeypatch), intmat._HERMITE_MIN
+        restarted = []
+        for n in (start, 20, 28, 40):
+            m = _dense_kind(rng, kind, n)
+            assert _is_dense(m)
+            events.clear()
+            res = snf(m)
+            assert events[0] == "hermite"
+            monkeypatch.setattr(intmat, "_HERMITE_MIN", 10**9)
+            events.clear()
+            old = snf(m)
+            monkeypatch.setattr(intmat, "_HERMITE_MIN", start)
+            assert events[0] == "axpy"
+            assert res.d == old.d
+            assert res.diagonal() == smith_diagonal(m)
+            if "hermite" in events:  # the old start restarted from m as well
+                assert (res.u, res.v) == (old.u, old.v)
+                restarted.append(n)
+        assert restarted or kind != "random"
+
+    def test_sparse_and_small_inputs_keep_the_smallest_pivot_start(self, monkeypatch):
+        rng = random.Random(2013)
+        events = _smith_events(monkeypatch)
+        e8, h = E8_ROWS, HYPERBOLIC_PLANE_ROWS
+        for blocks in ([e8, e8], [e8, e8, h, h], [e8] * 3, [e8] * 4 + [h]):
+            m = _block_sum(*blocks)
+            perm = list(range(m.rows))
+            rng.shuffle(perm)
+            p = mat([[rng.choice((1, -1)) * (j == perm[i]) for j in range(m.rows)]
+                     for i in range(m.rows)])
+            m = p.transpose() @ m @ p  # a signed permutation of the block sum
+            assert 16 <= m.rows <= 40 and not _is_dense(m)
+            events.clear()
+            assert snf(m).diagonal() == (1,) * m.rows
+            assert "hermite" not in events
+        for kind in KINDS:
+            for n in range(6, intmat._HERMITE_MIN):
+                m = _dense_kind(rng, kind, n)
+                events.clear()
+                res = snf(m)
+                assert events[0] == "axpy"  # a pivot first; the growth restart may follow
+                if kind != "random":
+                    assert "hermite" not in events, (kind, n)
+                assert res.diagonal() == smith_diagonal(m)
+
+    def test_hermite_runs_before_any_pivot_on_a_dense_40x40(self, monkeypatch):
+        m = _random_dense(random.Random(2014), 40, 40)
+        events = _smith_events(monkeypatch)
+        smith_diagonal(m)
+        assert events[0] == "axpy" and "hermite" not in events
+        events.clear()
+        snf(m)
+        assert events[0] == "hermite"
+
+    @pytest.mark.parametrize("n", (12, 16, 20, 40))
+    def test_certificate_size(self, n):
+        from sympy import Matrix
+
+        rng = random.Random(2015 + n)
+        for kind in KINDS:
+            m = _dense_kind(rng, kind, n)
+            res = snf(m)
+            assert res.u @ m @ res.v == res.d
+            assert res.diagonal() == smith_diagonal(m)
+            assert abs(Matrix(res.u.to_rows()).det()) == 1
+            assert abs(Matrix(res.v.to_rows()).det()) == 1
+            assert max(_bits(res.u), _bits(res.v)) <= _certificate_bound_bits(m), (kind, n)
+
+
 def _block_sum(*blocks):
     n = sum(len(b) for b in blocks)
     rows = [[0] * n for _ in range(n)]

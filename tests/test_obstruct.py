@@ -169,6 +169,32 @@ class TestRohlinMu:
         assert rohlin_mu(IntMatrix.from_rows(rows)) == 0
         assert calls == ["_bareiss", "_sparse_minors"]
 
+    def test_one_symmetry_scan(self, monkeypatch, e8):
+        calls, scan = [], intmat.IntMatrix.is_symmetric.fget
+
+        def counted(m):
+            calls.append(m.rows)
+            return scan(m)
+
+        monkeypatch.setattr(intmat.IntMatrix, "is_symmetric", property(counted))
+        assert rohlin_mu(e8) == 1
+        assert calls == [8]
+
+    def test_odd_diagonal_before_any_elimination(self, monkeypatch):
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("eliminated before the parity test")
+
+        monkeypatch.setattr(intmat, "_bareiss", no_elimination)
+        monkeypatch.setattr(intmat, "_sparse_minors", no_elimination)
+        for rows in ([[3, 1], [1, 2]], [[2, 1, 0], [1, 4, -1], [0, -1, 5]]):
+            with pytest.raises(DomainError) as err:
+                rohlin_mu(IntMatrix.from_rows(rows))
+            assert err.value.code == "odd-diagonal"
+        for rows in ([[3, 1], [0, 2]], [[2, 1], [0, 2]], [[2, 1, 0], [1, 3, 0]]):
+            with pytest.raises(DomainError) as err:
+                rohlin_mu(IntMatrix.from_rows(rows))
+            assert err.value.code == "non-symmetric"
+
     def test_congruence_invariance(self, e8):
         rng = random.Random(99)
         h = IntMatrix.from_rows(HYPERBOLIC_PLANE_ROWS)

@@ -279,6 +279,23 @@ class TestOneWalkPerGraph:
         evaluate_graph(parse_graph(source) if isinstance(source, str) else path_graph(source))
         assert len(calls) == walks
 
+    def test_join_chain_walks_each_tree_once(self, monkeypatch):
+        # 50 joins of a fresh (-1, -2, -2) path, at its -2 end, onto one hub:
+        # the seed and each path are walked once, and no join result again
+        calls, forest = [], plumbing._spanning_forest
+
+        def counted(g):
+            calls.append(g)
+            return forest(g)
+
+        monkeypatch.setattr(plumbing, "_spanning_forest", counted)
+        g = path_graph([-1, -2, -2, -1])
+        for _ in range(50):
+            g = join(g, "a", path_graph([-1, -2, -2], ["x", "y", "z"]), "z")
+        assert len(calls) == 51
+        assert g.is_tree() and len(g.vertices) == 4 + 2 * 50
+        assert len(calls) == 51
+
 
 class TestCycleFromWord:
     def test_hyperbolic_two_cycle(self):
@@ -474,6 +491,15 @@ class TestMergeMatchesReference:
         expected = reference_join(g1, v1, g2, v2)
         assert out == expected
         assert format_graph(out) == format_graph(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(clashing_trees(), clashing_trees(), st.sampled_from(POSITIONS), st.data())
+    def test_join_keeps_its_walk(self, g1, g2, where, data):
+        v1 = data.draw(st.sampled_from(g1.names))
+        out = join(g1, v1, g2, at(g2.names, where))
+        assert "_walk" in out.__dict__  # handed over, not walked
+        fresh = PlumbingGraph(out.vertices, out.edges)._walk
+        assert out._walk == fresh == reference_join(g1, v1, g2, at(g2.names, where))._walk
 
     @settings(max_examples=300, deadline=None)
     @given(clashing_trees(min_size=2), st.sampled_from(POSITIONS),
