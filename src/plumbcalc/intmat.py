@@ -8,7 +8,10 @@ plumbing form, gets its determinant and signature from the same elimination
 on its nonzeros instead, pivoting in least-degree order.  Smith reduction
 pivots on the smallest entry and starts over with Hermite forms kept
 reduced should its entries outgrow the Hadamard bound of its input; with
-certificates, a large dense input starts on the Hermite forms.
+certificates, a large dense input starts on the Hermite forms.  Without
+them, a large dense nonsingular square A is reduced modulo D = |det A|
+instead: A adj(A) = det(A) I puts D Z^n in the column span of A, so that
+is exact, and it keeps every entry below D.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
-from math import inf, isqrt, prod
+from math import gcd, inf, isqrt, lcm, prod
 
 from .errors import DomainError
 
@@ -336,12 +339,12 @@ def _smith(m: IntMatrix, track: bool):
     of ``m`` (``k`` the smaller dimension, ``B`` the largest entry), or a
     finished certificate row ``H^2``, it starts over from ``m`` with row and
     column Hermite forms kept reduced (Kannan-Bachem 1979), then only
-    enforces the divisor chain and checks no size.  With ``track``, a dense
-    ``m`` (over half nonzero, both sides at least ``_HERMITE_MIN``) starts
-    there, which the README's crossover table measures as faster."""
+    enforces the divisor chain and checks no size.  With ``track``, an
+    ``m`` that is ``_large_dense`` starts there, which the README's crossover
+    table measures as faster."""
     nr, nc, mat = m.rows, m.cols, m.to_rows()
     u, vt = (_identity(nr), _identity(nc)) if track else ([[]] * nr, [[]] * nc)
-    grown = track and min(nr, nc) >= _HERMITE_MIN and 2 * m.entries.count(0) < nr * nc
+    grown = track and _large_dense(m)
     limit, full, t = inf if grown else None, True, 0  # full: search all the block
     while True:
         best, top, pi, pj = 0, 0, -1, -1
@@ -416,9 +419,59 @@ def _smith(m: IntMatrix, track: bool):
         t += not grown
 
 
+def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
+    """Invariant factors of a square ``a`` with ``|det a| = d > 0`` by
+    elimination over Z/d (Cohen, GTM 138, Alg. 2.4.14), exact since
+    ``a adj(a) = det(a) I`` puts ``d Z^n`` in the column span of ``a``: each
+    pivot ``p`` gives the factor ``gcd(p, d)``.  A unit in the pivot column
+    clears it with one multiply per entry; otherwise extended-gcd row sweeps
+    alternate with transposes (which keep the factors) until the pivot
+    divides its row and column.  Entries stay below d."""
+    n, a, fs = len(a), [[x % d for x in row] for row in a], []
+    while a:
+        i = next((i for i, row in enumerate(a) if gcd(row[0], d) == 1), -1)
+        if i >= 0:  # a unit pivot: scale it to 1, clear its column, factor 1
+            inv = pow(a[i][0], -1, d)
+            rt = [x * inv % d for x in a.pop(i)[1:]]
+            a = [[(x - r[0] * y) % d for x, y in zip(r[1:], rt)] if r[0] else r[1:] for r in a]
+            continue
+        while True:
+            rt = a[0]
+            for i in range(1, len(a)):
+                ri, p, y = a[i], rt[0], a[i][0]
+                if p and not y % p:  # one multiple clears y; Bezout could swap equal entries
+                    q = y // p
+                    a[i] = [(z - q * x) % d for x, z in zip(rt, ri)]
+                elif y:  # [[u, v], [-y/g, p/g]] has determinant 1 and pivot g
+                    g = gcd(p, y)
+                    u = pow(p // g, -1, y // g)
+                    v, s, t = (g - u * p) // y, p // g, y // g
+                    rt, a[i] = ([(u * x + v * z) % d for x, z in zip(rt, ri)],
+                                [(s * z - t * x) % d for x, z in zip(rt, ri)])
+            a[0], p = rt, rt[0]
+            if not any(x % p if p else x for x in rt[1:]):
+                break  # column operations clear row 0 and change nothing else
+            a = [list(c) for c in zip(*a)]
+        fs.append(gcd(a[0][0], d))
+        a = [r[1:] for r in a[1:]]
+    for i in range(len(fs)):  # Z/x + Z/y = Z/gcd + Z/lcm, into a divisor chain
+        for j in range(i + 1, len(fs)):
+            fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
+    fs = [f for f in fs if f > 1]
+    return (1,) * (n - len(fs)) + tuple(fs)
+
+
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of ``m`` (nonnegative, divisor chain), without the
-    unimodular witnesses.  Cheaper than :func:`snf` for bulk homology work."""
+    unimodular witnesses.  Cheaper than :func:`snf` for bulk homology work.
+    A large dense nonsingular square ``m`` (see ``_large_dense``) is reduced
+    modulo its determinant by ``_smith_mod``, which is exact because
+    ``|det m| Z^n`` lies in the column span of ``m``; every other input
+    takes the smallest-pivot reduction of ``_smith``."""
+    if m.is_square and _large_dense(m):
+        minors = _bareiss(m.to_rows())[0]
+        if len(minors) > m.rows:
+            return _smith_mod(m.to_rows(), abs(minors[-1]))
     return tuple(row[i] for i, row in enumerate(_smith(m, track=False)[0][:m.cols]))
 
 
@@ -443,8 +496,14 @@ def snf(m: IntMatrix) -> SNFResult:
 # path's det and signature cost 2.0-2.6x Bareiss's at n = 16, 1.3-1.9x at
 # 32, 0.8-1.3x at 64, 0.8-1.07x at 80 and 0.5-0.8x at 128.
 _SPARSE_MIN = 80
-# From this size a dense snf starts on Hermite forms: crossover table in README.md.
+# From this size a dense snf starts on Hermite forms and a dense nonsingular
+# smith_diagonal reduces modulo its determinant: tables in README.md.
 _HERMITE_MIN = 16
+
+
+def _large_dense(m: IntMatrix) -> bool:
+    """At least ``_HERMITE_MIN`` rows and columns, over half of the entries nonzero."""
+    return min(m.rows, m.cols) >= _HERMITE_MIN and 2 * m.entries.count(0) < m.rows * m.cols
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict[int, int]] | None:

@@ -391,6 +391,17 @@ def _is_dense(m):
     return 2 * m.entries.count(0) < len(m.entries)
 
 
+def _count_smith_mod(monkeypatch, events):
+    """Record each ``_smith_mod`` call as ``"mod"`` in ``events``."""
+    smith_mod = intmat._smith_mod
+
+    def counted(a, d):
+        events.append("mod")
+        return smith_mod(a, d)
+
+    monkeypatch.setattr(intmat, "_smith_mod", counted)
+
+
 def _smith_events(monkeypatch):
     """Record ``_hermite`` calls and ``_axpy`` row operations in call order."""
     events, hermite, axpy = [], intmat._hermite, intmat._axpy
@@ -411,8 +422,8 @@ def _smith_events(monkeypatch):
 class TestDenseStart:
     """With certificates, a dense input of at least ``_HERMITE_MIN`` rows and
     columns goes straight to the Hermite forms that the growth restart runs;
-    sparse and smaller inputs keep the smallest-pivot start, and
-    :func:`smith_diagonal` always does."""
+    sparse and smaller inputs keep the smallest-pivot start.  Without them,
+    a dense nonsingular square input is reduced modulo its determinant."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_same_answer_as_the_smallest_pivot_start(self, monkeypatch, kind):
@@ -465,8 +476,9 @@ class TestDenseStart:
     def test_hermite_runs_before_any_pivot_on_a_dense_40x40(self, monkeypatch):
         m = _random_dense(random.Random(2014), 40, 40)
         events = _smith_events(monkeypatch)
+        _count_smith_mod(monkeypatch, events)
         smith_diagonal(m)
-        assert events[0] == "axpy" and "hermite" not in events
+        assert events == ["mod"]
         events.clear()
         snf(m)
         assert events[0] == "hermite"
@@ -484,6 +496,90 @@ class TestDenseStart:
             assert abs(Matrix(res.u.to_rows()).det()) == 1
             assert abs(Matrix(res.v.to_rows()).det()) == 1
             assert max(_bits(res.u), _bits(res.v)) <= _certificate_bound_bits(m), (kind, n)
+
+
+def _lower_ones(n):
+    return IntMatrix.from_rows([[int(j <= i) for j in range(n)] for i in range(n)])
+
+
+def _mod_det_kind(rng, kind, n):
+    """Dense nonsingular inputs and their invariant factors where known by
+    construction (else None): random, U diag(d) V, twice a unimodular matrix
+    (no unit pivot anywhere), prime-power torsion U diag(1, ..., p, p^2, p^3) V,
+    L diag(2, ..., 2, 6, 12) L^T with L lower all-ones (whole columns of equal
+    entries, so a pivot meets its own value) and a unimodular L U."""
+    if kind in ("random", "udv"):
+        return _dense_kind(rng, kind, n), None
+    if kind == "twice-unimodular":
+        return IntMatrix(n, n, tuple(2 * x for x in _lu(rng, n).entries)), (2,) * n
+    if kind in ("prime-2", "prime-3"):
+        p = int(kind[-1])
+        d = (1,) * (n - 3) + (p, p * p, p ** 3)
+        return _lu(rng, n) @ _diagonal(d) @ _lu(rng, n), d
+    if kind == "repeated":
+        d = (2,) * (n - 2) + (6, 12)
+        low = _lower_ones(n)
+        return low @ _diagonal(d) @ low.transpose(), d
+    return _lu(rng, n), (1,) * n
+
+
+MOD_DET_KINDS = ("random", "udv", "twice-unimodular", "prime-2", "prime-3", "repeated", "unimodular")
+
+
+class TestModularSmith:
+    """``smith_diagonal`` of a dense nonsingular square input of at least
+    ``_HERMITE_MIN`` rows eliminates modulo |det|: the same factors as the
+    smallest-pivot reduction and the certificate path of :func:`snf`."""
+
+    @pytest.mark.parametrize("kind", MOD_DET_KINDS)
+    def test_same_factors_as_the_smallest_pivot_and_snf(self, monkeypatch, kind):
+        rng, events = random.Random(2016), []
+        _count_smith_mod(monkeypatch, events)
+        for n in (intmat._HERMITE_MIN, 20, 28, 40):
+            m, known = _mod_det_kind(rng, kind, n)
+            events.clear()
+            diag = smith_diagonal(m)
+            assert events == ["mod"], (kind, n)
+            assert diag == tuple(row[i] for i, row in enumerate(intmat._smith(m, track=False)[0]))
+            res = snf(m)
+            assert res.u @ m @ res.v == res.d
+            assert abs(det(res.u)) == abs(det(res.v)) == 1
+            assert res.diagonal() == diag
+            assert known is None or diag == known, (kind, n)
+            assert abelian_group_of(m).torsion_order == abs(det(m))
+
+    def test_helper_on_small_inputs(self):
+        """Below the gate the helper is not used, but it is exact there too:
+        on a 4x4 U diag(1, 2, 8, 12) V (|det| = 192) and on every kind from
+        4 to 15 rows."""
+        rng = random.Random(2018)
+        m = _lu(rng, 4) @ _diagonal((1, 2, 8, 12)) @ _lu(rng, 4)
+        assert intmat._smith_mod(m.to_rows(), 192) == (1, 2, 4, 24) == smith_diagonal(m)
+        for n in range(4, intmat._HERMITE_MIN):
+            for kind in MOD_DET_KINDS:
+                m = _mod_det_kind(rng, kind, n)[0]
+                if det(m):
+                    assert intmat._smith_mod(m.to_rows(), abs(det(m))) == smith_diagonal(m)
+
+    def test_singular_sparse_and_non_square_inputs_keep_the_smallest_pivot(self, monkeypatch):
+        rng = random.Random(2017)
+        events = []
+        _count_smith_mod(monkeypatch, events)
+        e8, h = E8_ROWS, HYPERBOLIC_PLANE_ROWS
+        for n in (16, 20, 28, 40):
+            sym = _dense_kind(rng, "sym", n)
+            rows = _random_dense(rng, n - 1, n).to_rows()
+            low_rank = mat(rows + [[x - y for x, y in zip(rows[0], rows[1])]])
+            wide = _random_dense(rng, n, n + 3)
+            sparse = _block_sum(*[e8] * (n // 8), *[h] * (n % 8 // 2))
+            assert _is_dense(sym) and _is_dense(low_rank) and _is_dense(wide)
+            assert not _is_dense(sparse)
+            cases = [(sym, (1,) * (n - 1) + (0,)), (low_rank, None), (wide, None),
+                     (sparse, (1,) * n)]
+            for m, known in cases:
+                diag = smith_diagonal(m)
+                assert diag == (known or snf(m).diagonal()), n
+                assert not events, n
 
 
 def _block_sum(*blocks):
