@@ -20,7 +20,8 @@ from functools import cached_property
 
 from .errors import DomainError
 from .intmat import AbelianGroupDesc, IntMatrix, abelian_group_of
-from .sl2 import MonodromyWord, SL2Element, _framed_word, _token_lines, word_to_matrix
+from .sl2 import MonodromyWord, SL2Element, _framed_word, _token_lines
+from .sl2 import lex_min_rotation, word_to_matrix
 
 __all__ = [
     "PlumbingGraph",
@@ -70,7 +71,8 @@ class PlumbingGraph:
     @cached_property
     def _walk(self) -> tuple[int, tuple[tuple[str, int], ...]]:
         """The component count and the :func:`_cycle` steps, from one walk on
-        first use (a frozen graph never changes)."""
+        first use (a frozen graph never changes).  Users need only a cyclic
+        order of the steps, so a builder may hand over a cycle it knows."""
         _, parent, forest = _spanning_forest(self)
         return len(forest), _cycle(self, parent, forest)
 
@@ -320,10 +322,7 @@ def cycle_traversal(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
     if not is_pure_cycle(g):
         raise DomainError("not-a-cycle", "graph is not a single cycle")
     names = [x for x, _ in g._walk[1]]
-    k = names.index(min(names))
-    order = names[k:] + names[:k]
-    if len(order) > 2 and order[-1] < order[1]:
-        order[1:] = reversed(order[1:])
+    order = min(lex_min_rotation(names), lex_min_rotation(names[::-1]))
     weights = dict(g.vertices)
     odd = sum(s < 0 for _, _, s in g.edges) % 2  # as in _normalize_cycle_signs
     return tuple(weights[name] for name in order), -1 if odd else 1
@@ -343,13 +342,15 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def _identify(vertices, edges, v1: str, v2: str) -> PlumbingGraph:
+def _identify(vertices, edges, v1: str, v2: str, walk) -> PlumbingGraph:
     """Merge vertex ``v2`` into ``v1``, summing their weights, and move its
     edge ends to ``v1`` (a sign is never a name); other edges keep their tuples."""
     w2 = dict(vertices)[v2]
     merged = tuple((n, w + w2) if n == v1 else (n, w) for n, w in vertices if n != v2)
     moved = tuple(tuple(v1 if x == v2 else x for x in e) if v2 in e else e for e in edges)
-    return PlumbingGraph(merged, moved)
+    identified = PlumbingGraph(merged, moved)
+    identified.__dict__["_walk"] = walk
+    return identified
 
 
 def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGraph:
@@ -371,18 +372,16 @@ def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGrap
 
     vertices = g1.vertices + tuple((rename[n], w) for n, w in g2.vertices)
     edges = g1.edges + tuple((rename[u], rename[v], s) for u, v, s in g2.edges)
-    joined = _identify(vertices, edges, v1, rename[v2])
-    joined.__dict__["_walk"] = (1, ())  # two trees merged at one vertex: one component, no cycle
-    return joined
+    return _identify(vertices, edges, v1, rename[v2], (1, ()))  # one component, no cycle
 
 
 def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
     """Identify two distinct vertices of a tree, summing their weights.
 
-    The former tree path between them becomes the unique cycle; its edges are
-    normalized to all-positive, with the edge at the ``v2`` end turned
-    negative when ``sign`` is -1.  If the vertices were adjacent, their edge
-    becomes a self-loop carrying ``sign``.
+    The former tree path, closed at ``v1``, is the cycle and the result's walk;
+    its edges are normalized to all-positive, with the edge at the ``v2`` end
+    turned negative when ``sign`` is -1.  If the vertices were adjacent, their
+    edge becomes a self-loop carrying ``sign``.
     """
     if sign not in (1, -1):
         raise DomainError("bad-sign", "self-join sign must be +1 or -1")
@@ -398,7 +397,7 @@ def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
     for rank, (_, idx) in enumerate(path):
         u, v, _ = edges[idx]
         edges[idx] = (u, v, sign if rank == 0 else 1)
-    return _identify(g.vertices, edges, v1, v2)
+    return _identify(g.vertices, edges, v1, v2, (1, ((v1, path[0][1]), *path[1:])))
 
 
 @dataclass(frozen=True)

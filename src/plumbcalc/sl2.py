@@ -161,25 +161,18 @@ def square_trace_check(m: SL2Element) -> tuple[int, bool]:
 def _least_rotation(s: tuple) -> int:
     """Start index of the lexicographically least rotation of ``s`` (0 if empty).
 
-    Booth's algorithm (Inf. Process. Lett. 10(4), 1980): a Knuth-Morris-Pratt
-    failure function over the doubled word, O(n) comparisons."""
-    ss = s + s
-    fail = [-1] * len(ss)
-    k = 0
-    for j in range(1, len(ss)):
-        x = ss[j]
-        i = fail[j - k - 1]
-        while i != -1 and x != ss[k + i + 1]:
-            if x < ss[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if x != ss[k + i + 1]:  # here i == -1
-            if x < ss[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+    Duval's Lyndon factorization (J. Algorithms 4(4), 1983) of ``s + s``, O(n)
+    comparisons: the last run of equal factors that starts before ``len(s)``."""
+    ss, n = s + s, len(s)
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and ss[k] <= ss[j]:
+            k = i if ss[k] < ss[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
 
 def lex_min_rotation(seq) -> tuple:

@@ -512,6 +512,28 @@ class TestMergeMatchesReference:
         assert out == expected
         assert format_graph(out) == format_graph(expected)
 
+    @settings(max_examples=300, deadline=None)
+    @given(clashing_trees(min_size=2), st.sampled_from(POSITIONS),
+           st.sampled_from((1, -1)), st.data())
+    def test_self_join_keeps_its_walk(self, g, where, sign, data):
+        # the handed cycle is the tree path closed at v1: a cyclic order of
+        # the steps, which may differ from a fresh walk's start and direction
+        v2 = at(g.names, where)
+        v1 = data.draw(st.sampled_from([n for n in g.names if n != v2]))
+        out = self_join(g, v1, v2, sign)
+        assert "_walk" in out.__dict__  # handed over, not walked
+        fresh = PlumbingGraph(out.vertices, out.edges)
+        (count, steps), (fresh_count, fresh_steps) = out._walk, fresh._walk
+        assert count == fresh_count == 1
+        assert {x for x, _ in steps} == {x for x, _ in fresh_steps}
+        assert sorted(i for _, i in steps) == sorted(i for _, i in fresh_steps)
+        for (x, i), (y, _) in zip(steps, steps[1:] + steps[:1]):
+            assert {x, y} == set(out.edges[i][:2])
+        assert plumbing.is_pure_cycle(out) == plumbing.is_pure_cycle(fresh)
+        if plumbing.is_pure_cycle(fresh):
+            assert cycle_traversal(out) == cycle_traversal(fresh)
+        assert evaluate_graph(out) == evaluate_graph(fresh)
+
 
 class TestJoinHypotheses:
     def test_single_zero_vertex(self):

@@ -1,3 +1,6 @@
+import operator
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,7 +163,7 @@ class TestSL2Element:
 
 
 class TestLeastRotationOracle:
-    """Booth's kernel against the comparison of every rotation."""
+    """The least-rotation kernel against the comparison of every rotation."""
 
     @settings(max_examples=500)
     @given(st.lists(st.integers(-3, 3), max_size=16))
@@ -208,3 +211,61 @@ class TestLeastRotationOracle:
         s = tuple(s)
         r = shift % len(s)
         assert rotation_equivalent(s, s[r:] + s[:r])
+
+
+class _Counted:
+    """A word entry that adds each comparison made on it to ``tally[0]``.
+    ``==`` and ``!=`` count too: tuple comparison scans with them."""
+
+    __slots__ = ("value", "tally")
+    __hash__ = None
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def _compare(self, op, other):
+        self.tally[0] += 1
+        return op(self.value, other.value)
+
+    def __lt__(self, other):
+        return self._compare(operator.lt, other)
+
+    def __le__(self, other):
+        return self._compare(operator.le, other)
+
+    def __eq__(self, other):
+        return self._compare(operator.eq, other)
+
+    def __ne__(self, other):
+        return self._compare(operator.ne, other)
+
+
+def _fibonacci_word(n):
+    a, b = (2,), (2, 3)
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+ROTATION_WORDS = {
+    "all-equal": lambda n: (2,) * n,
+    "last-smaller": lambda n: (2,) * (n - 1) + (1,),
+    "periodic": lambda n: (2, 2, 3) * (n // 3),
+    "fibonacci": _fibonacci_word,
+    "random": lambda n: tuple(random.Random(n).choices((2, 3), k=n)),
+}
+
+
+class TestLeastRotationComparisons:
+    """The kernel makes O(n) entry comparisons, counted rather than timed.
+    Taking the least of the n rotations makes n^2/6 or more on the
+    all-equal, last-smaller and periodic words."""
+
+    @pytest.mark.parametrize("n", [1000, 2000, 4000])
+    @pytest.mark.parametrize("family", sorted(ROTATION_WORDS))
+    def test_at_most_six_per_entry(self, family, n):
+        word = ROTATION_WORDS[family](n)
+        tally = [0]
+        k = _least_rotation(tuple(_Counted(x, tally) for x in word))
+        assert word[k:] + word[:k] == brute_lex_min_rotation(word)
+        assert tally[0] <= 6 * len(word), tally[0] / len(word)
