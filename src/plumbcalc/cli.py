@@ -14,6 +14,7 @@ first use, so a command loads only the layers its handler calls.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -245,4 +246,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+    except BrokenPipeError:  # the reader has gone: exit 1 quietly, and point
+        # stdout at devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -6,11 +6,11 @@ the determinant, the rank and the signature.  A square symmetric matrix of
 at least ``_SPARSE_MIN`` (80) rows with at most 3n nonzeros, such as a
 plumbing form, gets its determinant and signature from the same elimination
 on its nonzeros instead, pivoting in least-degree order.  Smith reduction
-pivots on the smallest entry and starts over with Hermite forms kept
-reduced should its entries outgrow the Hadamard bound of its input; with
-certificates, a large dense input starts on the Hermite forms.  Without
-them, a large dense nonsingular square A is reduced modulo D = |det A|
-instead: A adj(A) = det(A) I puts D Z^n in the column span of A, so that
+with certificates pivots on the smallest entry and starts over with Hermite
+forms kept reduced should its entries outgrow the Hadamard bound of its
+input; a large dense input starts on the Hermite forms.  Without
+certificates, A of rank r is reduced modulo D, the absolute value of a
+nonzero r x r minor from the Bareiss pass: d_1 ... d_r divides D, so that
 is exact, and it keeps every entry below D.
 """
 
@@ -328,9 +328,9 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith(m: IntMatrix, track: bool):
+def _smith(m: IntMatrix):
     """Diagonalize ``m`` by unimodular row and column operations; returns
-    the form and, with ``track``, ``u`` and ``v`` transposed (``u @ m @ v``).
+    the form, ``u`` and the transpose of ``v``, where ``u @ m @ v`` is the form.
 
     Pivot rule: smallest nonzero absolute value in the remaining block (in
     its row and column while remainders are left), with the divisor chain
@@ -339,12 +339,12 @@ def _smith(m: IntMatrix, track: bool):
     of ``m`` (``k`` the smaller dimension, ``B`` the largest entry), or a
     finished certificate row ``H^2``, it starts over from ``m`` with row and
     column Hermite forms kept reduced (Kannan-Bachem 1979), then only
-    enforces the divisor chain and checks no size.  With ``track``, an
-    ``m`` that is ``_large_dense`` starts there, which the README's crossover
-    table measures as faster."""
+    enforces the divisor chain and checks no size.  A dense ``m`` (at least
+    ``_HERMITE_MIN`` rows and columns, over half of the entries nonzero)
+    starts there, which the README's crossover table measures as faster."""
     nr, nc, mat = m.rows, m.cols, m.to_rows()
-    u, vt = (_identity(nr), _identity(nc)) if track else ([[]] * nr, [[]] * nc)
-    grown = track and _large_dense(m)
+    u, vt = _identity(nr), _identity(nc)
+    grown = min(nr, nc) >= _HERMITE_MIN and 2 * m.entries.count(0) < nr * nc
     limit, full, t = inf if grown else None, True, 0  # full: search all the block
     while True:
         best, top, pi, pj = 0, 0, -1, -1
@@ -362,7 +362,7 @@ def _smith(m: IntMatrix, track: bool):
             limit = _hadamard(min(nr, nc), top)
         elif top > limit or grown:
             limit, grown, full, t, mat = inf, False, True, 0, m.to_rows()
-            u, vt = (_identity(nr), _identity(nc)) if track else (u, vt)
+            u, vt = _identity(nr), _identity(nc)
             while any(x for i, row in enumerate(mat) for j, x in enumerate(row) if i != j):
                 _hermite(mat, u)
                 mat = [list(col) for col in zip(*mat)]
@@ -370,7 +370,7 @@ def _smith(m: IntMatrix, track: bool):
                 mat = [list(col) for col in zip(*mat)]
             continue
         if pi < 0:
-            if track and any(max(r) > limit**2 or -min(r) > limit**2 for r in u[t:] + vt[t:]):
+            if any(max(r) > limit**2 or -min(r) > limit**2 for r in u[t:] + vt[t:]):
                 grown = True
                 continue
             return mat, u, vt
@@ -388,8 +388,7 @@ def _smith(m: IntMatrix, track: bool):
                 q = ri[t] // p
                 if q:
                     _axpy(ri, rt, -q)
-                    if track:
-                        _axpy(u[i], u[t], -q)
+                    _axpy(u[i], u[t], -q)
                 clean = clean and not ri[t]
         for j in range(t + 1, nc):
             if rt[j]:
@@ -398,8 +397,7 @@ def _smith(m: IntMatrix, track: bool):
                     for row in mat[t:]:
                         if row[t]:
                             row[j] -= q * row[t]
-                    if track:
-                        _axpy(vt[j], vt[t], -q)
+                    _axpy(vt[j], vt[t], -q)
                 clean = clean and not rt[j]
         full = clean
         if not clean:
@@ -409,31 +407,30 @@ def _smith(m: IntMatrix, track: bool):
             dirty = next((i for i in range(t + 1, nr) if any(x % p for x in mat[i][t + 1:])), 0)
             if dirty:
                 _axpy(rt, mat[dirty], 1)
-                if track:
-                    _axpy(u[t], u[dirty], 1)
+                _axpy(u[t], u[dirty], 1)
                 full = False
                 continue
         if p < 0:
             rt[t], u[t] = -p, [-x for x in u[t]]
-        grown = track and max(map(abs, u[t] + vt[t])) > limit * limit
+        grown = max(map(abs, u[t] + vt[t])) > limit * limit
         t += not grown
 
 
 def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
-    """Invariant factors of a square ``a`` with ``|det a| = d > 0`` by
-    elimination over Z/d (Cohen, GTM 138, Alg. 2.4.14), exact since
-    ``a adj(a) = det(a) I`` puts ``d Z^n`` in the column span of ``a``: each
-    pivot ``p`` gives the factor ``gcd(p, d)``.  A unit in the pivot column
-    clears it with one multiply per entry; otherwise extended-gcd row sweeps
-    alternate with transposes (which keep the factors) until the pivot
-    divides its row and column.  Entries stay below d."""
-    n, a, fs = len(a), [[x % d for x in row] for row in a], []
-    while a:
+    """Invariant factors over Z/d (``d > 0``) of ``a``, of any shape, each as
+    ``gcd(f, d)``, by elimination over Z/d (Cohen, GTM 138, Alg. 2.4.14).  A
+    unit in the pivot column clears it with one multiply per entry and
+    gives the factor 1; otherwise extended-gcd row sweeps alternate with
+    transposes (which keep the factors) until the pivot ``p`` divides its
+    row and column, and it gives ``gcd(p, d)``.  Entries stay below d."""
+    a, fs = [[x % d for x in row] for row in a], []
+    while a and a[0]:
         i = next((i for i, row in enumerate(a) if gcd(row[0], d) == 1), -1)
         if i >= 0:  # a unit pivot: scale it to 1, clear its column, factor 1
             inv = pow(a[i][0], -1, d)
             rt = [x * inv % d for x in a.pop(i)[1:]]
             a = [[(x - r[0] * y) % d for x, y in zip(r[1:], rt)] if r[0] else r[1:] for r in a]
+            fs.append(1)
             continue
         while True:
             rt = a[0]
@@ -457,22 +454,18 @@ def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
     for i in range(len(fs)):  # Z/x + Z/y = Z/gcd + Z/lcm, into a divisor chain
         for j in range(i + 1, len(fs)):
             fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
-    fs = [f for f in fs if f > 1]
-    return (1,) * (n - len(fs)) + tuple(fs)
+    return tuple(fs)
 
 
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of ``m`` (nonnegative, divisor chain), without the
     unimodular witnesses.  Cheaper than :func:`snf` for bulk homology work.
-    A large dense nonsingular square ``m`` (see ``_large_dense``) is reduced
-    modulo its determinant by ``_smith_mod``, which is exact because
-    ``|det m| Z^n`` lies in the column span of ``m``; every other input
-    takes the smallest-pivot reduction of ``_smith``."""
-    if m.is_square and _large_dense(m):
-        minors = _bareiss(m.to_rows())[0]
-        if len(minors) > m.rows:
-            return _smith_mod(m.to_rows(), abs(minors[-1]))
-    return tuple(row[i] for i, row in enumerate(_smith(m, track=False)[0][:m.cols]))
+    One Bareiss pass gives the rank r and a nonzero r x r minor D, and
+    ``_smith_mod`` reduces ``m`` modulo |D|: d_1 ... d_r divides D, so the
+    first r factors over Z/D are d_1, ..., d_r, and the rest are 0."""
+    minors = _bareiss(m.to_rows())[0]
+    r = len(minors) - 1
+    return _smith_mod(m.to_rows(), abs(minors[-1]))[:r] + (0,) * (min(m.rows, m.cols) - r)
 
 
 def snf(m: IntMatrix) -> SNFResult:
@@ -483,7 +476,7 @@ def snf(m: IntMatrix) -> SNFResult:
     chain.  ``d`` is the unique such diagonal; ``u`` and ``v`` are one valid
     choice; the README's Smith note says how their size is bounded.
     """
-    work, u, vt = _smith(m, track=True)
+    work, u, vt = _smith(m)
     return SNFResult(
         d=IntMatrix(m.rows, m.cols, tuple(x for r in work for x in r)),
         u=IntMatrix(m.rows, m.rows, tuple(x for r in u for x in r)),
@@ -496,14 +489,8 @@ def snf(m: IntMatrix) -> SNFResult:
 # path's det and signature cost 2.0-2.6x Bareiss's at n = 16, 1.3-1.9x at
 # 32, 0.8-1.3x at 64, 0.8-1.07x at 80 and 0.5-0.8x at 128.
 _SPARSE_MIN = 80
-# From this size a dense snf starts on Hermite forms and a dense nonsingular
-# smith_diagonal reduces modulo its determinant: tables in README.md.
+# From this size a dense snf starts on Hermite forms: table in README.md.
 _HERMITE_MIN = 16
-
-
-def _large_dense(m: IntMatrix) -> bool:
-    """At least ``_HERMITE_MIN`` rows and columns, over half of the entries nonzero."""
-    return min(m.rows, m.cols) >= _HERMITE_MIN and 2 * m.entries.count(0) < m.rows * m.cols
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict[int, int]] | None:

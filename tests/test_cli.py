@@ -409,6 +409,32 @@ class TestMatCommands:
         path.write_text("2 2\n0 1\n1 0\n")
         assert invoke(capsys, "mat", "signature", str(path))[1] == "signature=0\n"
 
+    def test_closed_stdout_pipe_ends_quietly(self, tmp_path):
+        """A reader that has gone, as in ``plumbcalc mat snf r30.mat | head -c 20``,
+        gives exit 1 and nothing on stderr: for output past the pipe buffer,
+        which fails in ``print``, and for one line, which fails at the flush."""
+        import os
+        import random
+        import subprocess
+
+        import plumbcalc
+
+        rng = random.Random(30)
+        entries = " ".join(str(rng.randint(-9, 9)) for _ in range(900))
+        (tmp_path / "r30.mat").write_text(f"30 30\n{entries}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(plumbcalc.__file__).resolve().parents[1]))
+        for argv in (["mat", "snf", "r30.mat"], ["dual", "2,2,2"]):
+            read, write = os.pipe()
+            os.close(read)  # the read end is closed before the child writes
+            try:
+                result = subprocess.run(
+                    [sys.executable, "-m", "plumbcalc", *argv], stdout=write,
+                    stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env,
+                )
+            finally:
+                os.close(write)
+            assert (result.returncode, result.stderr) == (1, ""), argv  # no traceback
+
 
 def test_parser_builds():
     assert build_parser().prog == "plumbcalc"

@@ -37,15 +37,32 @@ def _random_rows(rng, n, m, bound):
 class TestSmithAgainstSympy:
     def test_invariant_factors_match(self):
         rng = random.Random(1201)
-        for _ in range(80):
-            n, m = rng.randint(1, 5), rng.randint(1, 5)
-            rows = _random_rows(rng, n, m, 6)
-            mine = [x for x in smith_diagonal(IntMatrix.from_rows(rows)) if x]
-            reference = sympy_snf(Matrix(rows), domain=ZZ)
-            theirs = [
-                abs(reference[i, i]) for i in range(min(n, m)) if reference[i, i]
-            ]
-            assert mine == theirs, rows
+        cases = [
+            IntMatrix.from_rows(_random_rows(rng, rng.randint(1, 5), rng.randint(1, 5), 6))
+            for _ in range(80)
+        ]
+        # empty shapes and zero matrices; tall and wide rank-deficient
+        # inputs; d_r equal to the r x r minor the Bareiss pass ends on; and
+        # inputs on which that minor is negative (-6, -2, -2, -12 and -30)
+        cases += [IntMatrix(0, 3, ()), IntMatrix(3, 0, ()), IntMatrix(0, 0, ()),
+                  IntMatrix(2, 3, (0,) * 6), IntMatrix(1, 1, (0,))]
+        cases += [IntMatrix.from_rows(rows) for rows in (
+            [[2, 4], [1, 2], [-3, -6]],
+            [[2, 4, 0], [1, 3, 1], [3, 7, 1], [0, 2, 2]],
+            [[1, 2, 3, 4], [2, 4, 6, 8], [0, 6, 3, 0]],
+            [[-4, 6, 2, 10], [2, -3, -1, -5]],
+            [[6, 0], [0, 0]],
+            [[-6, 0], [0, 0]],
+            [[1, 2], [3, 4]],
+            [[2, 4, 6], [1, 1, 1], [3, 5, 7]],
+            [[3, 0], [0, -4]],
+            [[3, 6, 4], [3, -4, 0]],
+        )]
+        for a in cases:
+            k = min(a.rows, a.cols)
+            reference = sympy_snf(Matrix(a.rows, a.cols, list(a.entries)), domain=ZZ)
+            theirs = tuple(abs(reference[i, i]) for i in range(k) if reference[i, i])
+            assert smith_diagonal(a) == theirs + (0,) * (k - len(theirs)), a
 
     def test_rank_matches(self):
         rng = random.Random(1202)

@@ -307,13 +307,14 @@ class TestDenseSmithAgainstOracles:
 
 
 class TestGrowthFallbacks:
-    """With the growth bound forced down to 1, every reduction, with or
-    without certificates, restarts at the first pass with alternating
-    Hermite forms.  At bound 2 the 4x3 rank-1 case runs out of pivots
-    first, and its certificate rows then fail the ``H^2`` check, which
-    restarts the reduction there.  Dense inputs reach the real bound too:
-    the certificate rows of a dense random 20x20 outgrow ``H^2``, so
-    :func:`snf` restarts on it while :func:`smith_diagonal` does not."""
+    """With the growth bound forced down to 1, every reduction with
+    certificates restarts at the first pass with alternating Hermite forms,
+    and :func:`smith_diagonal`, which has no growth bound, must agree with
+    it.  At bound 2 the 4x3 rank-1 case runs out of pivots first, and its
+    certificate rows then fail the ``H^2`` check, which restarts the
+    reduction there.  Dense inputs reach the real bound too: the
+    certificate rows of a dense random 20x20 outgrow ``H^2``, so :func:`snf`
+    restarts on it, while :func:`smith_diagonal` runs no Hermite step."""
 
     def test_dense_certificates_restart_at_the_real_bound(self, monkeypatch):
         rng = random.Random(0)
@@ -423,7 +424,7 @@ class TestDenseStart:
     """With certificates, a dense input of at least ``_HERMITE_MIN`` rows and
     columns goes straight to the Hermite forms that the growth restart runs;
     sparse and smaller inputs keep the smallest-pivot start.  Without them,
-    a dense nonsingular square input is reduced modulo its determinant."""
+    every input is reduced modulo a nonzero largest minor."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_same_answer_as_the_smallest_pivot_start(self, monkeypatch, kind):
@@ -527,9 +528,9 @@ MOD_DET_KINDS = ("random", "udv", "twice-unimodular", "prime-2", "prime-3", "rep
 
 
 class TestModularSmith:
-    """``smith_diagonal`` of a dense nonsingular square input of at least
-    ``_HERMITE_MIN`` rows eliminates modulo |det|: the same factors as the
-    smallest-pivot reduction and the certificate path of :func:`snf`."""
+    """``smith_diagonal`` of every input eliminates modulo the absolute value
+    of a nonzero largest minor from one Bareiss pass, |det| on a nonsingular
+    square input: the same factors as the certificate path of :func:`snf`."""
 
     @pytest.mark.parametrize("kind", MOD_DET_KINDS)
     def test_same_factors_as_the_smallest_pivot_and_snf(self, monkeypatch, kind):
@@ -540,7 +541,6 @@ class TestModularSmith:
             events.clear()
             diag = smith_diagonal(m)
             assert events == ["mod"], (kind, n)
-            assert diag == tuple(row[i] for i, row in enumerate(intmat._smith(m, track=False)[0]))
             res = snf(m)
             assert res.u @ m @ res.v == res.d
             assert abs(det(res.u)) == abs(det(res.v)) == 1
@@ -549,9 +549,10 @@ class TestModularSmith:
             assert abelian_group_of(m).torsion_order == abs(det(m))
 
     def test_helper_on_small_inputs(self):
-        """Below the gate the helper is not used, but it is exact there too:
-        on a 4x4 U diag(1, 2, 8, 12) V (|det| = 192) and on every kind from
-        4 to 15 rows."""
+        """Called with |det| directly, the helper gives the factors of
+        :func:`smith_diagonal` on small inputs too: on a 4x4
+        U diag(1, 2, 8, 12) V (|det| = 192) and on every kind from 4 to 15
+        rows."""
         rng = random.Random(2018)
         m = _lu(rng, 4) @ _diagonal((1, 2, 8, 12)) @ _lu(rng, 4)
         assert intmat._smith_mod(m.to_rows(), 192) == (1, 2, 4, 24) == smith_diagonal(m)
@@ -561,7 +562,7 @@ class TestModularSmith:
                 if det(m):
                     assert intmat._smith_mod(m.to_rows(), abs(det(m))) == smith_diagonal(m)
 
-    def test_singular_sparse_and_non_square_inputs_keep_the_smallest_pivot(self, monkeypatch):
+    def test_singular_sparse_and_non_square_inputs_take_one_modular_pass(self, monkeypatch):
         rng = random.Random(2017)
         events = []
         _count_smith_mod(monkeypatch, events)
@@ -577,9 +578,10 @@ class TestModularSmith:
             cases = [(sym, (1,) * (n - 1) + (0,)), (low_rank, None), (wide, None),
                      (sparse, (1,) * n)]
             for m, known in cases:
+                events.clear()
                 diag = smith_diagonal(m)
+                assert events == ["mod"], n
                 assert diag == (known or snf(m).diagonal()), n
-                assert not events, n
 
 
 def _block_sum(*blocks):
