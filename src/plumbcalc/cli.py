@@ -20,7 +20,7 @@ from pathlib import Path
 
 import plumbcalc as pc
 
-from .errors import DomainError
+from .errors import _SIGNS, DomainError, _parse_list
 
 
 class _Usage(Exception):
@@ -44,10 +44,6 @@ def _matrix(path: str):
 
 def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
-
-
-def _sign(text: str) -> int:
-    return 1 if text == "+" else -1
 
 
 def _chain_lines(state) -> list[str]:
@@ -116,7 +112,7 @@ def _kirby_dualize(args) -> list[str]:
 
 def _obstruct_attach(args) -> list[str]:
     p = pc.obstruct.SurgeryPresentation(_matrix(args.matrix))
-    k = pc.obstruct.KnotClass(pc.sl2._parse_list(args.kappa, "kappa-syntax"), args.framing)
+    k = pc.obstruct.KnotClass(_parse_list(args.kappa, "kappa-syntax"), args.framing)
     new_p, homology = pc.obstruct.attach_two_handle(p, k)
     return [
         f"bordered={pc.intmat.inline_matrix(new_p.linking)}",
@@ -170,7 +166,7 @@ COMMANDS = (
     ("plumb selfjoin", "identify two vertices of a tree",
      ("graph", ("--v1", _REQUIRED), ("--v2", _REQUIRED), ("--sign", {**_SIGN, **_REQUIRED})),
      lambda a: pc.plumbing.format_graph(
-         pc.plumbing.self_join(_graph(a.graph), a.v1, a.v2, _sign(a.sign))).splitlines()),
+         pc.plumbing.self_join(_graph(a.graph), a.v1, a.v2, _SIGNS[a.sign])).splitlines()),
     ("plumb join", "join two trees at distinguished vertices",
      ("graph", "graph2", ("--v1", _REQUIRED), ("--v2", _REQUIRED)),
      lambda a: pc.plumbing.format_graph(

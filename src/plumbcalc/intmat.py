@@ -21,7 +21,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 from math import gcd, inf, isqrt, lcm, prod
 
-from .errors import DomainError
+from .errors import DomainError, _ints
 
 __all__ = [
     "IntMatrix",
@@ -462,10 +462,12 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     unimodular witnesses.  Cheaper than :func:`snf` for bulk homology work.
     One Bareiss pass gives the rank r and a nonzero r x r minor D, and
     ``_smith_mod`` reduces ``m`` modulo |D|: d_1 ... d_r divides D, so the
-    first r factors over Z/D are d_1, ..., d_r, and the rest are 0."""
+    first r factors over Z/D are d_1, ..., d_r (all 1, with no elimination,
+    when |D| = 1), and the rest are 0."""
     minors = _bareiss(m.to_rows())[0]
-    r = len(minors) - 1
-    return _smith_mod(m.to_rows(), abs(minors[-1]))[:r] + (0,) * (min(m.rows, m.cols) - r)
+    r, d = len(minors) - 1, abs(minors[-1])
+    fs = _smith_mod(m.to_rows(), d) if d > 1 else (1,) * r
+    return fs[:r] + (0,) * (min(m.rows, m.cols) - r)
 
 
 def snf(m: IntMatrix) -> SNFResult:
@@ -569,11 +571,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
     tokens = text.split()
     if len(tokens) < 2:
         raise DomainError("matrix-syntax", "expected 'rows cols' header")
-    try:
-        nr, nc = int(tokens[0]), int(tokens[1])
-        entries = [int(t) for t in tokens[2:]]
-    except ValueError as exc:
-        raise DomainError("matrix-syntax", f"non-integer token: {exc}") from exc
+    nr, nc, *entries = _ints(tokens, "matrix-syntax", "non-integer token")
     if nr < 0 or nc < 0:
         raise DomainError("matrix-syntax", "negative dimensions")
     if len(entries) != nr * nc:

@@ -16,16 +16,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ContractError, DomainError
-from .sl2 import (
-    SL2Element,
-    _format_list,
-    _framed_word,
-    _parse_list,
-    _token_lines,
-    rotation_equivalent,
-    word_to_matrix,
-)
+from .errors import ContractError, DomainError, _format_list, _ints, _keyword_lines, _parse_list
+from .sl2 import SL2Element, _framed_word, rotation_equivalent, word_to_matrix
 from .strings import _split_family
 
 __all__ = [
@@ -242,22 +234,14 @@ def run_script(c: ChainState, lines) -> tuple[ChainState, SL2Element]:
     (identity if the script never rotated)."""
     state = c
     witness = SL2Element.identity()
-    for lineno, raw, parts in _token_lines(lines):
-        def _int(token: str) -> int:
-            try:
-                return int(token)
-            except ValueError as exc:
-                raise DomainError(
-                    "script-syntax", f"line {lineno}: bad integer {token!r}"
-                ) from exc
-
-        if parts[0] == "up" and len(parts) == 3:
-            state = blow_up(state, _int(parts[1]), _int(parts[2]))
-        elif parts[0] == "down" and len(parts) == 2:
-            state = blow_down(state, _int(parts[1]))
-        elif parts[0] == "rotate" and len(parts) == 2:
-            state, conj = rotate(state, _int(parts[1]))
-            witness = witness @ conj
+    moves = {"up": 3, "down": 2, "rotate": 2}
+    for lineno, (move, *args) in _keyword_lines(lines, "script-syntax", moves):
+        args = _ints(args, "script-syntax", f"line {lineno}: bad integer")
+        if move == "up":
+            state = blow_up(state, *args)
+        elif move == "down":
+            state = blow_down(state, *args)
         else:
-            raise DomainError("script-syntax", f"line {lineno}: cannot parse {raw!r}")
+            state, conj = rotate(state, *args)
+            witness = witness @ conj
     return state, witness

@@ -28,12 +28,11 @@ from typing import TYPE_CHECKING
 
 import plumbcalc as pc
 
-from .errors import DomainError
+from .errors import _SIGNS, DomainError, _ints, _keyword_lines
 from .intmat import AbelianGroupDesc, det, is_perfect_square
 from .sl2 import (
     MonodromyWord,
     _framed_word,
-    _token_lines,
     format_word,
     lex_min_rotation,
     parse_word,
@@ -218,21 +217,19 @@ def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Constru
     base = base_dir or Path(".")
     build = Construction()
     target: str | None = None
-    for lineno, raw, parts in _token_lines(text.splitlines()):
+    grammar = {"tree": 3, "join": 6, "selfjoin": 6, "target": 2}
+    lines = _keyword_lines(text.splitlines(), "build-syntax", grammar, ("selfjoin",))
+    for lineno, (keyword, *args) in lines:
         try:
-            if parts[0] == "tree" and len(parts) == 3:
-                path = base / parts[2]
-                build.add_tree(parts[1], pc.plumbing.parse_graph(path.read_text(encoding="utf-8")))
-            elif parts[0] == "join" and len(parts) == 6:
-                build.add_join(parts[1], parts[2], parts[3], parts[4], parts[5])
-            elif parts[0] == "selfjoin" and len(parts) == 6 and parts[5] in ("+", "-"):
-                build.add_self_join(
-                    parts[1], parts[2], parts[3], parts[4], 1 if parts[5] == "+" else -1
-                )
-            elif parts[0] == "target" and len(parts) == 2:
-                target = parts[1]
+            if keyword == "tree":
+                path = base / args[1]
+                build.add_tree(args[0], pc.plumbing.parse_graph(path.read_text(encoding="utf-8")))
+            elif keyword == "join":
+                build.add_join(*args)
+            elif keyword == "selfjoin":
+                build.add_self_join(*args[:4], _SIGNS[args[4]])
             else:
-                raise DomainError("build-syntax", f"line {lineno}: cannot parse {raw!r}")
+                target = args[0]
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("build-io", f"line {lineno}: {exc}") from exc
     if not build.names():
@@ -245,10 +242,7 @@ def _parse_parabolic_sugar(text: str) -> MonodromyWord | None:
     T^{∓n} S S = -T^{∓n}."""
     if not text.startswith("-T^"):
         return None
-    try:
-        n = int(text[3:])
-    except ValueError as exc:
-        raise DomainError("descriptor-syntax", f"bad parabolic exponent in {text!r}") from exc
+    (n,) = _ints([text[3:]], "descriptor-syntax", f"bad parabolic exponent in {text!r}")
     return MonodromyWord((-n, 0), 1)
 
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import _SIGNS, DomainError, _ints, _keyword_lines
 from .intmat import AbelianGroupDesc, IntMatrix, abelian_group_of
-from .sl2 import MonodromyWord, SL2Element, _framed_word, _token_lines
-from .sl2 import lex_min_rotation, word_to_matrix
+from .sl2 import MonodromyWord, SL2Element, _framed_word, lex_min_rotation, word_to_matrix
 
 __all__ = [
     "PlumbingGraph",
@@ -156,21 +155,17 @@ def parse_graph(text: str) -> PlumbingGraph:
     signs normalized so that at most one cycle edge is negative (preserving
     the sign product).
     """
-    vertices: list[tuple[str, int]] = []
-    edges: list[tuple[str, str, int]] = []
-    for lineno, raw, parts in _token_lines(text.splitlines()):
-        if parts[0] == "vertex" and len(parts) == 3:
-            try:
-                weight = int(parts[2])
-            except ValueError as exc:
-                raise DomainError("graph-syntax", f"line {lineno}: bad weight") from exc
-            vertices.append((parts[1], weight))
-        elif parts[0] == "edge" and len(parts) == 4 and parts[3] in ("+", "-"):
-            edges.append((parts[1], parts[2], 1 if parts[3] == "+" else -1))
+    names, weights, edges = [], [], []
+    grammar = {"vertex": 3, "edge": 4}
+    for _, parts in _keyword_lines(text.splitlines(), "graph-syntax", grammar, ("edge",)):
+        if parts[0] == "vertex":
+            names.append(parts[1])
+            weights.append(parts[2])
         else:
-            raise DomainError("graph-syntax", f"line {lineno}: cannot parse {raw!r}")
-    if not vertices and not edges:
+            edges.append((parts[1], parts[2], _SIGNS[parts[3]]))
+    if not names and not edges:
         raise DomainError("empty-graph", "a graph needs at least one vertex")
+    vertices = zip(names, _ints(weights, "graph-syntax", "bad weight"))
     graph = PlumbingGraph(tuple(vertices), tuple(edges))
     if graph.cycle_count > 1:
         raise DomainError("multi-cycle", "graphs with two or more independent cycles are unsupported")

@@ -14,7 +14,7 @@ from enum import Enum
 
 import plumbcalc as pc
 
-from .errors import DomainError
+from .errors import DomainError, _format_list, _parse_list
 
 __all__ = [
     "SL2Element",
@@ -185,27 +185,6 @@ def lex_min_rotation(seq) -> tuple:
 def rotation_equivalent(a, b) -> bool:
     """True iff ``b`` is a cyclic rotation of ``a`` (conjugate words)."""
     return lex_min_rotation(a) == lex_min_rotation(b)
-
-
-def _parse_list(text: str, code: str) -> tuple[int, ...]:
-    """Parse the comma list ``3,2,2``; a bad entry fails with ``code``."""
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise DomainError(code, f"bad entry: {exc}") from exc
-
-
-def _token_lines(lines):
-    """Read a line format: yield ``(line number, raw line, tokens)`` for each
-    line that is not blank once its ``#`` comment is stripped."""
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, raw, tokens
-
-
-def _format_list(xs) -> str:
-    return ",".join(str(x) for x in xs)
 
 
 def parse_word(text: str) -> MonodromyWord:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContractError, DomainError
-from .sl2 import MonodromyWord, _format_list, _parse_list, word_to_matrix
+from .errors import ContractError, DomainError, _format_list, _ints, _parse_list
+from .sl2 import MonodromyWord, word_to_matrix
 
 __all__ = [
     "FamilyParams",
@@ -223,9 +223,6 @@ def parse_family_params(text: str) -> FamilyParams:
     parts = {key: value for key, eq, value in fields if eq}
     if len(fields) != 2 or set(parts) != {"k", "x"}:
         raise DomainError("family-syntax", "expected k=<int>;x=<comma list>")
-    try:
-        k = int(parts["k"])
-    except ValueError as exc:
-        raise DomainError("family-syntax", f"bad value: {exc}") from exc
+    (k,) = _ints([parts["k"]], "family-syntax", "bad value")
     xs = _parse_list(parts["x"], "family-syntax") if parts["x"] else ()
     return FamilyParams(k, xs)

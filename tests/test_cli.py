@@ -602,6 +602,54 @@ class TestListSyntaxCodes:
         assert out[:2] == (1, "error=kappa-syntax\n")
 
 
+_NO_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int() digit limit"
+)
+
+
+class TestBadTokenInEveryFormat:
+    """A non-integer token, and one past CPython's 4300-digit ``int()``
+    limit, fails in every text format with that format's syntax code."""
+
+    # written to the working directory; TOKEN stands for the bad token
+    FILES = {
+        "t.graph": "vertex a -1\nvertex b TOKEN\nedge a b +\n",
+        "t.mat": "2 2\n1 0\n0 TOKEN\n",
+        "t.script": "up 0 1\ndown TOKEN\n",
+        "t.build": "# one tree\ntree X t.graph\n",
+        "ok.mat": "1 1\n0\n",
+        "ok.script": "",
+    }
+    FORMATS = {
+        "graph-weight": ("graph-syntax", ["plumb", "homology", "t.graph"]),
+        "matrix-entry": ("matrix-syntax", ["mat", "det", "t.mat"]),
+        "down-move": ("script-syntax",
+                      ["kirby", "run", "chain -3,-1,-3 sign=+", "--script", "t.script"]),
+        "chain-framing": ("chain-syntax",
+                          ["kirby", "run", "chain -3,TOKEN,-3 sign=+", "--script", "ok.script"]),
+        "build-tree": ("graph-syntax", ["ledger", "eval", "build:t.build"]),
+        "mono-word": ("word-syntax", ["mono", "3,TOKEN"]),
+        "dual-string": ("string-syntax", ["dual", "3,TOKEN"]),
+        "family-k": ("family-syntax", ["family", "gen", "k=TOKEN;x=0"]),
+        "family-x": ("family-syntax", ["family", "gen", "k=1;x=0,TOKEN"]),
+        "parabolic": ("descriptor-syntax", ["ledger", "eval", "--", "-T^TOKEN"]),
+        "kappa": ("kappa-syntax",
+                  ["obstruct", "attach", "ok.mat", "--kappa", "1,TOKEN", "--framing", "0"]),
+    }
+
+    @pytest.mark.parametrize("token", ["1.5", pytest.param("9" * 5000, marks=_NO_DIGIT_LIMIT)],
+                             ids=["non-integer", "past-digit-limit"])
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_syntax_code(self, capsys, tmp_path, monkeypatch, fmt, token):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text.replace("TOKEN", token), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, argv = self.FORMATS[fmt]
+        result = invoke(capsys, *(arg.replace("TOKEN", token) for arg in argv))
+        assert result[:2] == (1, f"error={code}\n")
+        assert "Traceback" not in result[2]
+
+
 def _child(argv, cwd):
     """Run ``python <argv>`` in a fresh interpreter that finds plumbcalc where
     this test process found it."""

@@ -6,6 +6,7 @@ the check it guards, so the contract itself fires.  A second table reaches
 the raise sites whose code another test already names, but at another site.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -38,6 +39,8 @@ FILES = {
     "c3.graph": "vertex a -3\nvertex b -3\nvertex c -3\nedge a b +\nedge b c +\nedge c a +\n",
     "up.script": "up 0 2\n",
     "down.script": "down x\n",
+    "sign.graph": "vertex a -1\nvertex b -2\nedge a b x\n",
+    "sign.build": "tree X seed.graph\nselfjoin G X a d x\n",
 }
 
 # (code, call, patch): a call is a function raising the code, or a CLI argv
@@ -88,6 +91,8 @@ SITES = [
     ("SurgeryPresentation-symmetric", "non-symmetric",
      ["obstruct", "attach", "asym.mat", "--kappa", "1,0", "--framing", "0"]),
     ("parse_graph-weight", "graph-syntax", ["plumb", "homology", "weight.graph"]),
+    ("parse_graph-edge-sign", "graph-syntax", ["plumb", "homology", "sign.graph"]),
+    ("parse_construction-selfjoin-sign", "build-syntax", ["ledger", "eval", "build:sign.build"]),
     ("self_join-sign", "bad-sign", lambda: self_join(parse_graph(SEED), "a", "b", 2)),
     ("self_join-tree", "non-tree", ["plumb", "selfjoin", "c3.graph", "--v1", "a", "--v2", "b",
                                     "--sign", "+"]),
@@ -121,7 +126,20 @@ def check_raises(code, call, patch, tmp_path, monkeypatch, capsys):
         assert err.value.code == code
 
 
-RAISED = re.compile(r'(?:DomainError|ContractError)\(\s*"([^"]+)"')
+# where the code is among the arguments of each call that raises with it:
+# the error types, and the token readers, which raise with the code they get
+CODE_ARG = {"DomainError": 0, "ContractError": 0, "_ints": 1, "_parse_list": 1,
+            "_keyword_lines": 1}
+
+
+def _raised_codes(text):
+    """The string-literal codes passed to a call in ``CODE_ARG``."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            args = node.args[CODE_ARG[name]:] if name in CODE_ARG else []
+            if args and isinstance(args[0], ast.Constant):
+                yield args[0].value
 
 
 def test_every_raised_code_is_named_in_a_test():
@@ -129,8 +147,10 @@ def test_every_raised_code_is_named_in_a_test():
     raised = {
         code
         for path in source.glob("*.py")
-        for code in RAISED.findall(path.read_text(encoding="utf-8"))
+        for code in _raised_codes(path.read_text(encoding="utf-8"))
     }
+    # the readers' codes, which a scan of the error types alone misses
+    assert {"word-syntax", "string-syntax", "kappa-syntax", "graph-syntax"} <= raised
     assert len(raised) > 40  # the scan found the codes
     tests = Path(__file__).parent
     named = "\n".join(
