@@ -5,7 +5,8 @@ touches floating point or fractions.  One fraction-free (Bareiss) pass gives
 the determinant, the rank and the signature.  A square symmetric matrix of
 at least ``_SPARSE_MIN`` (80) rows with at most 3n nonzeros, such as a
 plumbing form, gets its determinant and signature from the same elimination
-on its nonzeros instead, pivoting in least-degree order.  Smith reduction
+on its nonzeros instead, pivoting in least-degree order; ``_unit_core``
+takes a form's nonzeros to a cokernel by its +-1 pivots.  Smith reduction
 with certificates pivots on the smallest entry and starts over with Hermite
 forms kept reduced should its entries outgrow the Hadamard bound of its
 input; a large dense input starts on the Hermite forms.  Without
@@ -268,6 +269,49 @@ def _sparse_minors(rows: list[dict[int, int]]) -> list[int]:
             if key != (not new.get(r), len(new)):  # else its heap entry still holds
                 heappush(heap, (not new.get(r), len(new), r))
     return minors
+
+
+def _unit_core(rows: list[dict[int, int]]) -> IntMatrix:
+    """Eliminate the +-1 entries of a symmetric matrix, stored as rows
+    ``{column: nonzero entry}`` (consumed); returns the core left, of the
+    same cokernel.  Each pivot is a unit in a live row of fewest nonzeros, in
+    its column of fewest; a row with no unit waits, parked, until it changes."""
+    n, parked = len(rows), set()
+    cols = [set(r) for r in rows]  # by symmetry, column c's rows are row c's columns
+    heap = [len(r) * n + i for i, r in enumerate(rows)]  # size * n + row: int keys
+    heapify(heap)
+    while heap:
+        size, i = divmod(heappop(heap), n)
+        ri = rows[i]
+        if ri is None or size != len(ri):
+            continue  # stale: the row is gone or has changed since
+        units = [(len(cols[c]), c) for c, x in ri.items() if x == 1 or x == -1]
+        if not units:
+            parked.add(i)
+            continue
+        j = min(units)[1]
+        p, col = ri.pop(j), cols[j]
+        col.discard(i)
+        for r in col:  # row r -= (its entry / p) row i, which clears column j
+            row = rows[r]
+            size, x = len(row), row.pop(j) * p
+            for c, y in ri.items():
+                v = row.get(c, 0) - x * y
+                if v:
+                    row[c] = v
+                    cols[c].add(r)
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+            if size != len(row) or r in parked:  # else its heap entry still holds
+                parked.discard(r)
+                heappush(heap, len(row) * n + r)
+        col.clear()
+        for c in ri:
+            cols[c].discard(i)
+        rows[i] = None
+    occupied = [c for c, s in enumerate(cols) if s]
+    return IntMatrix.from_rows([r.get(c, 0) for c in occupied] for r in rows if r is not None)
 
 
 def _axpy(dst: list[int], src: list[int], c: int) -> None:

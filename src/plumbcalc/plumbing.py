@@ -4,13 +4,11 @@ A plumbing graph has weighted vertices and signed edges; multi-edges and
 self-loops are allowed, and at most one independent cycle.  One breadth-first
 walk per component gives a spanning forest; a graph's component count and its
 cycle are read from that walk once and kept.  The boundary 3-manifold's first
-homology is Z^{cycles} plus the cokernel of the intersection form.  It is
-computed on the spanning tree, not on the n x n form: eliminating meridians
-from the leaves inward leaves a G x G matrix for the Smith kernel, G = the
-root, plus the childless vertices, plus the ends of the edge left out of the
-tree (2 for a path, 3 for a pure cycle, k for a star with k leaves).  Cyclic
-graphs are torus bundles: their monodromy is the product of T^{w_i} S over the
-cycle, scaled by the product of edge signs.
+homology is Z^{cycles} plus the cokernel of the intersection form Q, whose
+nonzeros come from the edge list: its +-1 entries are eliminated sparsely
+(``intmat._unit_core``) and only the core they leave goes to the Smith kernel.
+Cyclic graphs are torus bundles: their monodromy is the product of T^{w_i} S
+over the cycle, scaled by the product of edge signs.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import _SIGNS, DomainError, _ints, _keyword_lines
-from .intmat import AbelianGroupDesc, IntMatrix, abelian_group_of
+from .intmat import AbelianGroupDesc, IntMatrix, _unit_core, abelian_group_of
 from .sl2 import MonodromyWord, SL2Element, _framed_word, lex_min_rotation, word_to_matrix
 
 __all__ = [
@@ -72,8 +70,8 @@ class PlumbingGraph:
         """The component count and the :func:`_cycle` steps, from one walk on
         first use (a frozen graph never changes).  Users need only a cyclic
         order of the steps, so a builder may hand over a cycle it knows."""
-        _, parent, forest = _spanning_forest(self)
-        return len(forest), _cycle(self, parent, forest)
+        parent, components, extra = _spanning_forest(self)
+        return components, _cycle(self, parent, extra)
 
     def component_count(self) -> int:
         return self._walk[0]
@@ -97,36 +95,29 @@ def _adjacency(g: PlumbingGraph) -> dict[str, list[tuple[str, int]]]:
 
 
 def _spanning_forest(g: PlumbingGraph):
-    """One breadth-first spanning tree per component, each walked once.
-
-    Returns the adjacency, the parent and tree edge of every non-root vertex,
-    and per component ``(order, extra)``: its vertices in discovery order,
-    root first, and the sorted indices of its edges left out of the tree.  A
-    component is rooted at a leaf where it has one, else at its first vertex
-    in declaration order; a left-out edge may lie anywhere in it.
-    """
+    """One breadth-first spanning tree per component, rooted at its first
+    vertex in declaration order.  Returns the parent and tree edge of every
+    non-root vertex, the component count, and the set of the indices of the
+    edges left out of the trees."""
     adj = _adjacency(g)
     parent: dict[str, tuple[str, int]] = {}
-    forest = []
-    seen: set[str] = set()
-    for root in sorted(adj, key=lambda n: len(adj[n]) > 1):
-        if root in seen:
+    roots, extra = set(), set()
+    for root in adj:
+        if root in parent or root in roots:
             continue
-        order, extra = [root], set()
-        seen.add(root)
+        roots.add(root)
+        order = [root]
         for x in order:
             up = parent[x][1] if x in parent else None
             for y, i in adj[x]:
                 if i == up:
                     continue
-                if y in seen:
+                if y in parent or y in roots:
                     extra.add(i)
                 else:
-                    seen.add(y)
                     parent[y] = (x, i)
                     order.append(y)
-        forest.append((order, sorted(extra)))
-    return adj, parent, forest
+    return parent, len(roots), extra
 
 
 def _tree_path(parent: dict[str, tuple[str, int]], src: str, dst: str) -> list[tuple[str, int]]:
@@ -198,73 +189,48 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     return flipped
 
 
-def intersection_form(g: PlumbingGraph) -> IntMatrix:
-    """Symmetric linking matrix: diagonal = weight plus 2*sign per self-loop,
-    off-diagonal = sum of edge signs between the two vertices."""
-    index = {n: i for i, n in enumerate(g.names)}
-    n = len(g.vertices)
-    q = [0] * (n * n)
-    q[::n + 1] = [w for _, w in g.vertices]
+def _form_rows(g: PlumbingGraph) -> list[dict[int, int]]:
+    """Q's rows ``{column: nonzero entry}``: a vertex's weight plus 2*sign
+    per self-loop on the diagonal, the sum of the edges' signs elsewhere."""
+    index = {n: i for i, (n, _) in enumerate(g.vertices)}
+    rows = [{i: w} for i, (_, w) in enumerate(g.vertices)]
     for u, v, s in g.edges:  # a self-loop adds its sign twice
         i, j = index[u], index[v]
-        q[i * n + j] += s
-        q[j * n + i] += s
+        rows[i][j] = rows[i].get(j, 0) + s
+        rows[j][i] = rows[j].get(i, 0) + s
+    return [{c: x for c, x in r.items() if x} if 0 in r.values() else r for r in rows]
+
+
+def intersection_form(g: PlumbingGraph) -> IntMatrix:
+    """Symmetric linking matrix Q, filled from :func:`_form_rows`."""
+    n = len(g.vertices)
+    q = [0] * (n * n)
+    for i, row in enumerate(_form_rows(g)):
+        for j, x in row.items():
+            q[i * n + j] = x
     return IntMatrix(n, n, tuple(q))
 
 
 def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:
-    """First homology of the boundary: coker(Q) plus one Z per cycle.
-
-    Q is never built.  The roots of the spanning trees, the childless
-    vertices and both ends of every edge left out of the trees are the
-    generators.  Children first, every other vertex's meridian is eliminated
-    with the relation of its first child, whose coefficient on it is the tree
-    edge's sign, +1 or -1; the remaining relations form a square matrix over
-    the generators.
-    """
-    adj, parent, forest = _spanning_forest(g)
-    cycles = sum(len(extra) for _, extra in forest)
+    """First homology of the boundary: coker(Q) plus one Z per cycle, the
+    cokernel from the core that Q's unit pivots leave."""
+    cycles = g.cycle_count
     if cycles > 1:
         raise DomainError("multi-cycle", "boundary homology needs at most one cycle")
-    order = [v for component, _ in forest for v in component]
-    ends = {x for _, extra in forest for i in extra for x in g.edges[i][:2]}
-    pivot: dict[str, str] = {}  # eliminated vertex -> its first child, in walk order
-    for v in order:
-        if v in parent and parent[v][0] in parent and parent[v][0] not in ends:
-            pivot.setdefault(parent[v][0], v)
-    gens = [v for v in order if v not in pivot]
-    expr = {v: [int(v == x) for x in gens] for v in gens}
-    weight = dict(g.vertices)
-
-    def relation(x: str) -> list[int]:
-        # Q's row of x in the generators; while x's parent is being
-        # eliminated it is the one neighbor with no expression yet
-        row = [weight[x] * a for a in expr[x]]
-        for y, i in adj[x]:
-            if y in expr:
-                s = g.edges[i][2] * (2 if y == x else 1)
-                row = [a + s * b for a, b in zip(row, expr[y])]
-        return row
-
-    for v, c in reversed(pivot.items()):
-        expr[v] = [-g.edges[parent[c][1]][2] * a for a in relation(c)]
-    used = set(pivot.values())
-    rows = [relation(x) for x in order if x not in used]
-    k = len(gens)
-    coker = abelian_group_of(IntMatrix(k, k, tuple(a for row in rows for a in row)))
+    coker = abelian_group_of(_unit_core(_form_rows(g)))
     return AbelianGroupDesc(coker.free_rank + cycles, coker.torsion_factors)
 
 
-def _cycle(g: PlumbingGraph, parent, forest) -> tuple[tuple[str, int], ...]:
+def _cycle(g: PlumbingGraph, parent, extra) -> tuple[tuple[str, int], ...]:
     """The unique cycle as (vertex, edge index) steps, each edge leading to
-    the next step's vertex: across the leftover edge of
-    :func:`_spanning_forest` from its first end, then along the tree path
-    back to that end.  Empty unless the graph has exactly one cycle."""
-    extra = [i for _, leftover in forest for i in leftover]
+    the next step's vertex: across the one edge in ``extra``, which
+    :func:`_spanning_forest` left out, from its first end, then along the tree
+    path back to that end.  Empty unless the graph has exactly one cycle."""
     if len(extra) != 1:
         return ()
-    u, x, _ = g.edges[extra[0]]
-    return ((u, extra[0]), *_tree_path(parent, x, u))
+    (i,) = extra
+    u, x, _ = g.edges[i]
+    return ((u, i), *_tree_path(parent, x, u))
 
 
 def is_pure_cycle(g: PlumbingGraph) -> bool:
@@ -387,7 +353,7 @@ def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
     g.weight(v1)
     g.weight(v2)
 
-    path = _tree_path(_spanning_forest(g)[1], v2, v1)
+    path = _tree_path(_spanning_forest(g)[0], v2, v1)
     edges = list(g.edges)
     for rank, (_, idx) in enumerate(path):
         u, v, _ = edges[idx]

@@ -232,7 +232,7 @@ def reference_self_join(g, v1, v2, sign):
         raise DomainError("non-tree", "self-join needs a plumbing tree")
     w1, w2 = g.weight(v1), g.weight(v2)
 
-    path = _tree_path(_spanning_forest(g)[1], v2, v1)
+    path = _tree_path(_spanning_forest(g)[0], v2, v1)
     edges = list(g.edges)
     for rank, (_, idx) in enumerate(path):
         u, v, _ = edges[idx]

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -34,11 +35,28 @@ def path_graph(weights, names=None):
     return PlumbingGraph(vertices, edges)
 
 
+def star_graph(arms):
+    """A -2 hub with ``arms`` two-vertex arms (middle -2, leaf -1): Z/(arms - 2)."""
+    vertices, edges = [("h", -2)], []
+    for a in range(arms):
+        vertices += [(f"m{a}", -2), (f"l{a}", -1)]
+        edges += [("h", f"m{a}", 1), (f"m{a}", f"l{a}", 1)]
+    return PlumbingGraph(tuple(vertices), tuple(edges))
+
+
+def caterpillar_graph(n):
+    """A -3 spine of n/2 vertices with one -1 leaf on each: Z/101 at n = 200."""
+    spine = [f"s{i}" for i in range(n // 2)]
+    vertices = [(s, -3) for s in spine] + [(f"l{s}", -1) for s in spine]
+    edges = [(a, b, 1) for a, b in zip(spine, spine[1:])] + [(s, f"l{s}", 1) for s in spine]
+    return PlumbingGraph(tuple(vertices), tuple(edges))
+
+
 SEED_PATH = path_graph([-1, -2, -2, -1])
 SEED_PATH_TEXT = format_graph(SEED_PATH)
 
 # a 3-cycle with trees on two of its vertices; its spanning tree is rooted
-# at the leaf d, so the edge b-c left out of it does not touch the root
+# at a, so the edge b-c left out of it does not touch the root
 HANG_TEXT = (
     "vertex a -3\nvertex b -2\nvertex c -3\nvertex d -2\nvertex e -1\n"
     "edge a b +\nedge b c +\nedge c a +\nedge a d +\nedge b e +\n"
@@ -181,7 +199,8 @@ def plumbings(draw, min_extra=0, max_extra=1):
     """Forests of 1 to 3 components with weights in -6..6, plus extra edges
     inside components, each closing one cycle: a chord, a second copy of a
     tree edge, or a self-loop.  Declaration orders and edge directions are
-    shuffled, since they decide where the spanning trees are rooted."""
+    shuffled, since they decide where the spanning trees are rooted and
+    which unit pivots the elimination takes."""
     signs = st.sampled_from((1, -1))
     components, vertices, edges = [], [], []
     for c in range(draw(st.integers(1, 3))):
@@ -208,8 +227,8 @@ def plumbings(draw, min_extra=0, max_extra=1):
 
 
 class TestGraphNativeHomology:
-    """boundary_homology eliminates along spanning trees; the dense
-    intersection form is the oracle."""
+    """boundary_homology eliminates Q's unit entries sparsely and reduces
+    the core they leave; the dense intersection form is the oracle."""
 
     # the edge left out of the spanning tree, away from the root, with trees
     # hanging off its ends: two chords, a self-loop and a doubled edge
@@ -223,6 +242,14 @@ class TestGraphNativeHomology:
     @example(parse_graph(
         "vertex a -2\nvertex b -3\nvertex c -2\nvertex d -5\n"
         "edge a b +\nedge b a -\nedge b c +\nedge c d +\n"))
+    # kernel corners: a doubled edge whose signs cancel to a 0 entry, an
+    # isolated weight-0 vertex (a free Z), a unit weight, a self-loop, a star
+    @example(parse_graph("vertex a -2\nvertex b -3\nedge a b +\nedge b a -\n"))
+    @example(parse_graph("vertex a 0\nvertex b -2\nvertex c -3\nedge b c +\n"))
+    @example(parse_graph("vertex a 1\nvertex b -3\nvertex c -4\nedge a b -\nedge b c +\n"))
+    @example(parse_graph(
+        "vertex a -2\nvertex b -3\nvertex c 2\nedge a a +\nedge a b +\nedge b c -\n"))
+    @example(star_graph(30))
     @settings(max_examples=400, deadline=None)
     @given(plumbings())
     def test_matches_dense_form(self, g):
@@ -251,22 +278,49 @@ class TestGraphNativeHomology:
         assert boundary_homology(g) == AbelianGroupDesc(1 + expected.free_rank, expected.torsion_factors)
         assert best_cpu_seconds(lambda: boundary_homology(g)) < 0.05
 
+    # every input has a small determinant, so the ratios leave out the
+    # growth of the arithmetic and show the elimination alone.  Each of nine
+    # ratios times the two sizes back to back, so that a drift in the
+    # machine's speed hits both, with the cycle collector off, as timeit
+    # does: a full collection scans the whole session's heap, which is no
+    # cost of the kernel.  Their median is the ratio.
+    @pytest.mark.parametrize("build, n", [
+        (lambda n: path_graph([-2] * n, [f"v{i}" for i in range(n)]), 800),
+        (star_graph, 800),
+        (caterpillar_graph, 400),
+        (lambda n: cycle_plumbing_from_word(MonodromyWord((2,) * n, -1)), 800),
+    ], ids=["path", "star", "caterpillar", "parabolic-cycle"])
+    def test_doubling_ratio_under_2_5(self, build, n):
+        small, large = build(n), build(2 * n)
+        gc.disable()
+        try:
+            ratios = sorted(best_cpu_seconds(lambda: boundary_homology(large), 1)
+                            / best_cpu_seconds(lambda: boundary_homology(small), 1)
+                            for _ in range(9))
+        finally:
+            gc.enable()
+        assert ratios[4] < 2.5
+
+    def test_1600_arm_star_under_100ms(self):
+        g = star_graph(1600)
+        assert boundary_homology(g) == AbelianGroupDesc(0, (1598,))
+        assert best_cpu_seconds(lambda: boundary_homology(g)) < 0.1
+
 
 class TestOneWalkPerGraph:
-    """The component count and the cycle come from one cached walk, so a
-    graph descriptor walks its graph once (a cycle, also one whose edge signs
-    were normalized) or twice (a tree, whose homology walks it again).  A
-    path given by its weights is built directly, so no parse caches its
-    walk: its homology alone walks it, unless that homology is Z and the
-    tree test walks it once more (the S^1 x S^2 seed)."""
+    """The component count and the cycle come from one cached walk, and
+    boundary homology reads the cycle count from it, so a graph descriptor
+    walks its graph once: a cycle, also one whose edge signs were
+    normalized, a parsed tree, and a path built from its weights, whose
+    homology and tree test share the walk (the S^1 x S^2 seed)."""
 
     @pytest.mark.parametrize("source, walks", [
         ("vertex a -3\nvertex b -3\nvertex c -3\nedge a b +\nedge b c +\nedge c a +\n", 1),
-        (SEED_PATH_TEXT, 2),
+        (SEED_PATH_TEXT, 1),
         # two negative cycle edges: the sign-normalized graph keeps the walk
         ("vertex a -3\nvertex b -3\nvertex c -3\nedge a b -\nedge b c -\nedge c a +\n", 1),
         ((-2, -2, -2), 1),
-        ((-1, -2, -2, -1), 2),
+        ((-1, -2, -2, -1), 1),
     ], ids=["3-cycle", "4-path", "3-cycle-normalized", "3-path-built", "4-path-seed-built"])
     def test_evaluate_graph(self, monkeypatch, source, walks):
         calls, forest = [], plumbing._spanning_forest
