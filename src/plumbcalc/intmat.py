@@ -7,12 +7,13 @@ at least ``_SPARSE_MIN`` (80) rows with at most 3n nonzeros, such as a
 plumbing form, gets its determinant and signature from the same elimination
 on its nonzeros instead, pivoting in least-degree order; ``_unit_core``
 takes a form's nonzeros to a cokernel by its +-1 pivots.  Smith reduction
-with certificates pivots on the smallest entry and starts over with Hermite
-forms kept reduced should its entries outgrow the Hadamard bound of its
-input; a large dense input starts on the Hermite forms.  Without
-certificates, A of rank r is reduced modulo D, the absolute value of a
-nonzero r x r minor from the Bareiss pass: d_1 ... d_r divides D, so that
-is exact, and it keeps every entry below D.
+with certificates takes +-1 pivots while any is left, and row Hermite
+forms kept reduced, the sides alternating, on what they leave; Bezout steps
+make the diagonal a divisor chain.  Without certificates, a large sparse
+symmetric input first loses its +-1 pivots to ``_unit_core``; then A of
+rank r is reduced modulo D, the absolute value of a nonzero r x r minor
+from the Bareiss pass: d_1 ... d_r divides D, so that is exact, and it
+keeps every entry below D.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
-from math import gcd, inf, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .errors import DomainError, _ints
 
@@ -327,13 +328,16 @@ def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
     ``c``.  Rows go in one at a time and those so far are kept reduced
     (Kannan-Bachem), so entries stay bounded by the minors of ``w``."""
     hw, hc, cols, zw, zc = [], [], [], [], []  # pivot rows, companions, pivot columns
+    n = len(w[0]) if w else 0
     for row, crow in zip(w, c):
         first = len(hw)  # pivot rows from here on need reducing again
-        lead = 0
+        lead = s = 0
         while True:
-            lead = next((j for j in range(lead, len(row)) if row[j]), -1)
-            s = next((s for s, col in enumerate(cols) if col >= lead), len(cols))
-            if lead < 0 or s == len(cols) or cols[s] != lead:
+            while lead < n and not row[lead]:
+                lead += 1
+            while s < len(cols) and cols[s] < lead:
+                s += 1
+            if lead == n or s == len(cols) or cols[s] != lead:
                 break
             q = row[lead] // hw[s][lead]
             _axpy(row, hw[s], -q)
@@ -344,7 +348,7 @@ def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
                 _axpy(hc[s], crow, -q)
                 hw[s], row, hc[s], crow = row, hw[s], crow, hc[s]
                 first = min(first, s)
-        if lead < 0:
+        if lead == n:
             zw.append(row)
             zc.append(crow)
         else:
@@ -357,107 +361,97 @@ def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
         for s in range(first, len(hw)):
             for s2 in range(s):
                 q = hw[s2][cols[s]] // hw[s][cols[s]]
-                _axpy(hw[s2], hw[s], -q)
-                _axpy(hc[s2], hc[s], -q)
+                if q:
+                    _axpy(hw[s2], hw[s], -q)
+                    _axpy(hc[s2], hc[s], -q)
     w[:] = hw + zw
     c[:] = hc + zc
 
 
-def _hadamard(k: int, b: int) -> int:
-    """A power of two at least the Hadamard bound ``(sqrt(k) b)^k``."""
-    return 1 << k * (b.bit_length() + (k.bit_length() + 1) // 2)
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _bezout(p: int, y: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``g = gcd(p, y) = s p + t y``, for ``p >= 0`` and ``y > 0``:
+    ``[[s, t], [-y/g, p/g]]`` has determinant 1 and takes ``(p, y)`` to ``(g, 0)``."""
+    g = gcd(p, y)
+    s = pow(p // g, -1, y // g)
+    return g, s, (g - s * p) // y
 
 
 def _smith(m: IntMatrix):
     """Diagonalize ``m`` by unimodular row and column operations; returns
     the form, ``u`` and the transpose of ``v``, where ``u @ m @ v`` is the form.
 
-    Pivot rule: smallest nonzero absolute value in the remaining block (in
-    its row and column while remainders are left), with the divisor chain
-    enforced at each pivot: cheap on sparse forms, whose pivots are mostly
-    units.  Should an entry exceed the Hadamard bound ``H = (sqrt(k) B)^k``
-    of ``m`` (``k`` the smaller dimension, ``B`` the largest entry), or a
-    finished certificate row ``H^2``, it starts over from ``m`` with row and
-    column Hermite forms kept reduced (Kannan-Bachem 1979), then only
-    enforces the divisor chain and checks no size.  A dense ``m`` (at least
-    ``_HERMITE_MIN`` rows and columns, over half of the entries nonzero)
-    starts there, which the README's crossover table measures as faster."""
-    nr, nc, mat = m.rows, m.cols, m.to_rows()
-    u, vt = _identity(nr), _identity(nc)
-    grown = min(nr, nc) >= _HERMITE_MIN and 2 * m.entries.count(0) < nr * nc
-    limit, full, t = inf if grown else None, True, 0  # full: search all the block
+    While the live block holds a +-1, the first in its live row of fewest
+    nonzeros is the pivot: row operations clear its column and column
+    operations its row.  A block left with no unit and not diagonal gets one
+    row Hermite pass (Kannan-Bachem 1979), and the matrix is transposed,
+    ``u`` and ``vt`` trading places, before the unit pivots resume.  Last,
+    Bezout steps on pairs of diagonal entries make a divisor chain, and the
+    rows of ``u`` and ``vt`` at its zeros, a basis of a kernel of ``m``, go
+    to Hermite form and reduce the other rows when there are two or more;
+    neither changes the form."""
+    nr, nc, mat, flipped, t = m.rows, m.cols, m.to_rows(), False, 0
+    u, vt = IntMatrix.identity(nr).to_rows(), IntMatrix.identity(nc).to_rows()
     while True:
-        best, top, pi, pj = 0, 0, -1, -1
-        for i in range(t, nr):
-            row = mat[i]
-            for j in range(t, nc) if full or i == t else (t,):
-                x = row[j]
-                if x:
-                    x = -x if x < 0 else x
-                    if pi < 0 or x < best:
-                        best, pi, pj = x, i, j
-                    if x > top:
-                        top = x
-        if limit is None:
-            limit = _hadamard(min(nr, nc), top)
-        elif top > limit or grown:
-            limit, grown, full, t, mat = inf, False, True, 0, m.to_rows()
-            u, vt = _identity(nr), _identity(nc)
-            while any(x for i, row in enumerate(mat) for j, x in enumerate(row) if i != j):
-                _hermite(mat, u)
-                mat = [list(col) for col in zip(*mat)]
-                _hermite(mat, vt)
-                mat = [list(col) for col in zip(*mat)]
+        units = [(len(live) - live.count(0), i) for i in range(t, nr)
+                 for live in (mat[i][t:],) if 1 in live or -1 in live]
+        if units:
+            i = min(units)[1]
+            j = next(j for j in range(t, nc) if mat[i][j] in (1, -1))
+            mat[t], mat[i], u[t], u[i] = mat[i], mat[t], u[i], u[t]
+            if j != t:
+                for row in mat[t:]:
+                    row[t], row[j] = row[j], row[t]
+                vt[t], vt[j] = vt[j], vt[t]
+            rt, p = mat[t], mat[t][t]
+            for i in range(t + 1, nr):
+                if mat[i][t]:
+                    q = -mat[i][t] * p
+                    _axpy(mat[i], rt, q)
+                    _axpy(u[i], u[t], q)
+            for j in range(t + 1, nc):
+                if rt[j]:
+                    _axpy(vt[j], vt[t], -rt[j] * p)
+                    rt[j] = 0
+            t += 1
             continue
-        if pi < 0:
-            if any(max(r) > limit**2 or -min(r) > limit**2 for r in u[t:] + vt[t:]):
-                grown = True
-                continue
-            return mat, u, vt
-        mat[t], mat[pi], u[t], u[pi] = mat[pi], mat[t], u[pi], u[t]
-        if pj != t:
-            for row in mat[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            vt[t], vt[pj] = vt[pj], vt[t]
-        rt = mat[t]
-        p = rt[t]
-        clean = True
-        for i in range(t + 1, nr):
-            ri = mat[i]
-            if ri[t]:
-                q = ri[t] // p
-                if q:
-                    _axpy(ri, rt, -q)
-                    _axpy(u[i], u[t], -q)
-                clean = clean and not ri[t]
-        for j in range(t + 1, nc):
-            if rt[j]:
-                q = rt[j] // p
-                if q:
-                    for row in mat[t:]:
-                        if row[t]:
-                            row[j] -= q * row[t]
-                    _axpy(vt[j], vt[t], -q)
-                clean = clean and not rt[j]
-        full = clean
-        if not clean:
-            continue  # a remainder is left: it is the next, smaller pivot
-        if p != 1 and p != -1:
-            # enforce the divisor chain: the pivot must divide the whole block
-            dirty = next((i for i in range(t + 1, nr) if any(x % p for x in mat[i][t + 1:])), 0)
-            if dirty:
-                _axpy(rt, mat[dirty], 1)
-                _axpy(u[t], u[dirty], 1)
-                full = False
-                continue
-        if p < 0:
-            rt[t], u[t] = -p, [-x for x in u[t]]
-        grown = max(map(abs, u[t] + vt[t])) > limit * limit
-        t += not grown
+        if not any(x for i in range(t, nr) for j, x in enumerate(mat[i][t:], t) if i != j):
+            break
+        w, c = [row[t:] for row in mat[t:]], u[t:]
+        _hermite(w, c)
+        mat[t:], u[t:] = [[0] * t + row for row in w], c
+        mat = [list(col) for col in zip(*mat)]
+        u, vt, nr, nc, flipped = vt, u, nc, nr, not flipped
+    d = [mat[i][i] for i in range(min(nr, nc))]
+    for i, x in enumerate(d):
+        if x < 0:
+            d[i], u[i] = -x, [-y for y in u[i]]
+    for i in range(t, len(d)):  # Z/a + Z/b = Z/g + Z/(ab/g), g = gcd(a, b)
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a if a else b:
+                g, s, q = _bezout(a, b)
+                u[i], u[j] = ([s * x + q * y for x, y in zip(u[i], u[j])],
+                              [(a * y - b * x) // g for x, y in zip(u[i], u[j])])
+                _axpy(vt[i], vt[j], 1)
+                _axpy(vt[j], vt[i], -q * b // g)
+                d[i], d[j] = g, a * b // g
+    # The rows at zeros of the form span a kernel of m.  One such row is the
+    # primitive vector of the minors of m over their gcd, so it is small as
+    # it is; two or more go to Hermite form, which those minors bound, and
+    # reduce the other rows.
+    r = len(d) - d.count(0)
+    for c in (u, vt):
+        if len(c) > r + 1:
+            w = c[r:]
+            _hermite(w, [[] for _ in w])
+            c[r:] = w
+            for h in w:
+                j = next(j for j, x in enumerate(h) if x)
+                for row in c[:r]:
+                    _axpy(row, h, -(row[j] // h[j]))
+    if flipped:
+        u, vt = vt, u
+    return [[d[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)], u, vt
 
 
 def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
@@ -484,9 +478,8 @@ def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
                     q = y // p
                     a[i] = [(z - q * x) % d for x, z in zip(rt, ri)]
                 elif y:  # [[u, v], [-y/g, p/g]] has determinant 1 and pivot g
-                    g = gcd(p, y)
-                    u = pow(p // g, -1, y // g)
-                    v, s, t = (g - u * p) // y, p // g, y // g
+                    g, u, v = _bezout(p, y)
+                    s, t = p // g, y // g
                     rt, a[i] = ([(u * x + v * z) % d for x, z in zip(rt, ri)],
                                 [(s * z - t * x) % d for x, z in zip(rt, ri)])
             a[0], p = rt, rt[0]
@@ -504,14 +497,19 @@ def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of ``m`` (nonnegative, divisor chain), without the
     unimodular witnesses.  Cheaper than :func:`snf` for bulk homology work.
-    One Bareiss pass gives the rank r and a nonzero r x r minor D, and
-    ``_smith_mod`` reduces ``m`` modulo |D|: d_1 ... d_r divides D, so the
-    first r factors over Z/D are d_1, ..., d_r (all 1, with no elimination,
-    when |D| = 1), and the rest are 0."""
-    minors = _bareiss(m.to_rows())[0]
+    A large sparse symmetric ``m`` (see :func:`_sparse_rows`) first loses
+    its +-1 pivots to ``_unit_core``, a factor 1 each, and the rest runs on
+    the core they leave.  One Bareiss pass gives the rank r and a nonzero
+    r x r minor D, and ``_smith_mod`` reduces modulo |D|: d_1 ... d_r
+    divides D, so the first r factors over Z/D are d_1, ..., d_r (all 1,
+    with no elimination, when |D| = 1), and the rest are 0."""
+    rows = _sparse_rows(m)
+    core = m if rows is None else _unit_core(rows)
+    minors = _bareiss(core.to_rows())[0]
     r, d = len(minors) - 1, abs(minors[-1])
-    fs = _smith_mod(m.to_rows(), d) if d > 1 else (1,) * r
-    return fs[:r] + (0,) * (min(m.rows, m.cols) - r)
+    fs = _smith_mod(core.to_rows(), d)[:r] if d > 1 else (1,) * r
+    fs = (1,) * (m.rows - core.rows) + fs
+    return fs + (0,) * (min(m.rows, m.cols) - len(fs))
 
 
 def snf(m: IntMatrix) -> SNFResult:
@@ -535,8 +533,6 @@ def snf(m: IntMatrix) -> SNFResult:
 # path's det and signature cost 2.0-2.6x Bareiss's at n = 16, 1.3-1.9x at
 # 32, 0.8-1.3x at 64, 0.8-1.07x at 80 and 0.5-0.8x at 128.
 _SPARSE_MIN = 80
-# From this size a dense snf starts on Hermite forms: table in README.md.
-_HERMITE_MIN = 16
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict[int, int]] | None:
@@ -618,6 +614,8 @@ def parse_matrix_text(text: str) -> IntMatrix:
     nr, nc, *entries = _ints(tokens, "matrix-syntax", "non-integer token")
     if nr < 0 or nc < 0:
         raise DomainError("matrix-syntax", "negative dimensions")
+    if max(nr, nc) > 10**6:
+        raise DomainError("too-large", f"dimension {max(nr, nc)} exceeds 10^6")
     if len(entries) != nr * nc:
         raise DomainError(
             "matrix-syntax", f"expected {nr * nc} entries, got {len(entries)}"

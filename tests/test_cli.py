@@ -1,6 +1,7 @@
 import json
 import sys
 from pathlib import Path
+from time import process_time
 
 import pytest
 
@@ -533,6 +534,18 @@ class TestTooLarge:
 
     def test_family_gen(self, capsys):
         assert invoke(capsys, "family", "gen", "k=0;x=1000000000")[:2] == (1, "error=too-large\n")
+
+    @pytest.mark.parametrize("header", ["2147483648 0", "0 2147483648"])
+    @pytest.mark.parametrize("command", ["group", "snf"])
+    def test_matrix_header_with_a_huge_dimension(self, capsys, tmp_path, header, command):
+        # 13 bytes that declare no entries, yet 2^31 rows or a 2^31-square v
+        matrix = tmp_path / "huge.mat"
+        matrix.write_text(header + "\n")
+        start = process_time()
+        code, out, err = invoke(capsys, "mat", command, str(matrix))
+        assert process_time() - start < 0.5
+        assert (code, out) == (1, "error=too-large\n")
+        assert "Traceback" not in err
 
     def test_kirby_dualize_of_one_huge_entry(self, capsys):
         # a single entry 3+x needs a run of x 2's to be a family string, so

@@ -21,6 +21,7 @@ from plumbcalc.intmat import (
     snf,
     _bareiss,
     _sparse_minors,
+    _sparse_rows,
 )
 
 from conftest import (
@@ -307,16 +308,11 @@ class TestDenseSmithAgainstOracles:
 
 
 class TestGrowthFallbacks:
-    """With the growth bound forced down to 1, every reduction with
-    certificates restarts at the first pass with alternating Hermite forms,
-    and :func:`smith_diagonal`, which has no growth bound, must agree with
-    it.  At bound 2 the 4x3 rank-1 case runs out of pivots first, and its
-    certificate rows then fail the ``H^2`` check, which restarts the
-    reduction there.  Dense inputs reach the real bound too: the
-    certificate rows of a dense random 20x20 outgrow ``H^2``, so :func:`snf`
-    restarts on it, while :func:`smith_diagonal` runs no Hermite step."""
+    """A dense random 20x20, on which :func:`snf` needs Hermite passes and
+    :func:`smith_diagonal` runs none, and small singular, rank-1 and zero
+    inputs against sympy."""
 
-    def test_dense_certificates_restart_at_the_real_bound(self, monkeypatch):
+    def test_dense_certificates_take_hermite_passes(self, monkeypatch):
         rng = random.Random(0)
         m = IntMatrix(20, 20, tuple(rng.randint(-9, 9) for _ in range(400)))
         calls, hermite = [], intmat._hermite
@@ -332,11 +328,9 @@ class TestGrowthFallbacks:
         assert calls
         TestSNF()._check_invariants(m)
 
-    def test_fallbacks_agree_with_sympy(self, monkeypatch):
+    def test_fallbacks_agree_with_sympy(self):
         from sympy import Matrix, ZZ
         from sympy.matrices.normalforms import smith_normal_form
-
-        import plumbcalc.intmat as intmat_module
 
         rng = random.Random(2011)
         cases = _dense_cases() + [
@@ -346,22 +340,20 @@ class TestGrowthFallbacks:
             _random_dense(rng, 3, 5, bound=4),
             mat([[0, 10, 0], [0, -2, 0], [0, -2, 0], [0, 6, 0]]),
         ]
-        for bound in (1, 2):
-            monkeypatch.setattr(intmat_module, "_hadamard", lambda k, b: bound)
-            for m in cases:
-                reference = smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
-                k = min(m.rows, m.cols)
-                theirs = [abs(reference[i, i]) for i in range(k) if reference[i, i]]
-                diag = smith_diagonal(m)
-                assert [x for x in diag if x] == theirs, (bound, m)
-                assert snf(m).diagonal() == diag, (bound, m)
-                TestSNF()._check_invariants(m)
+        for m in cases:
+            reference = smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
+            k = min(m.rows, m.cols)
+            theirs = [abs(reference[i, i]) for i in range(k) if reference[i, i]]
+            diag = smith_diagonal(m)
+            assert [x for x in diag if x] == theirs, m
+            assert snf(m).diagonal() == diag, m
+            TestSNF()._check_invariants(m)
 
 
-def _lu(rng, n):
-    """A dense unimodular L U, off-diagonal entries of L and U in -1..1."""
-    lower = [[int(i == j) if j >= i else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
-    upper = [[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+def _lu(rng, n, c=1):
+    """A dense unimodular L U, off-diagonal entries of L and U in -c..c."""
+    lower = [[int(i == j) if j >= i else rng.randint(-c, c) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) if j <= i else rng.randint(-c, c) for j in range(n)] for i in range(n)]
     return mat(lower) @ mat(upper)
 
 
@@ -420,83 +412,67 @@ def _smith_events(monkeypatch):
     return events
 
 
+def _path_form(n):
+    """The intersection form of a path of n vertices of weight -2."""
+    return IntMatrix.from_rows([[-2 if i == j else int(abs(i - j) == 1) for j in range(n)]
+                                for i in range(n)])
+
+
+def _sympy_det(m):
+    """det by sympy's integer matrices, which take a 100 x 100 in well under
+    a second, unlike ``Matrix.det``."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix([[ZZ(x) for x in row] for row in m.to_rows()], (m.rows, m.cols), ZZ).det()
+
+
+def _signed_permutation(rng, m):
+    perm = list(range(m.rows))
+    rng.shuffle(perm)
+    p = mat([[rng.choice((1, -1)) * (j == perm[i]) for j in range(m.rows)] for i in range(m.rows)])
+    return p.transpose() @ m @ p
+
+
+# E8 and hyperbolic sums for each size of ``test_certificate_size``
+E8_SUMS = {12: [(1, 2)], 16: [(2, 0)], 20: [(2, 2)], 28: [(3, 0), (3, 2)], 40: [(4, 1), (5, 0)]}
+
+
 class TestDenseStart:
-    """With certificates, a dense input of at least ``_HERMITE_MIN`` rows and
-    columns goes straight to the Hermite forms that the growth restart runs;
-    sparse and smaller inputs keep the smallest-pivot start.  Without them,
-    every input is reduced modulo a nonzero largest minor."""
+    """:func:`snf` takes one route on every input: unit pivots, then Hermite
+    passes on what they leave.  Its certificates are bounded by
+    2k(bits(B) + bits(k)) bits on every kind of input, dense and sparse."""
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_same_answer_as_the_smallest_pivot_start(self, monkeypatch, kind):
-        rng = random.Random(2012)
-        events, start = _smith_events(monkeypatch), intmat._HERMITE_MIN
-        restarted = []
-        for n in (start, 20, 28, 40):
-            m = _dense_kind(rng, kind, n)
-            assert _is_dense(m)
-            events.clear()
-            res = snf(m)
-            assert events[0] == "hermite"
-            monkeypatch.setattr(intmat, "_HERMITE_MIN", 10**9)
-            events.clear()
-            old = snf(m)
-            monkeypatch.setattr(intmat, "_HERMITE_MIN", start)
-            assert events[0] == "axpy"
-            assert res.d == old.d
-            assert res.diagonal() == smith_diagonal(m)
-            if "hermite" in events:  # the old start restarted from m as well
-                assert (res.u, res.v) == (old.u, old.v)
-                restarted.append(n)
-        assert restarted or kind != "random"
-
-    def test_sparse_and_small_inputs_keep_the_smallest_pivot_start(self, monkeypatch):
-        rng = random.Random(2013)
-        events = _smith_events(monkeypatch)
-        e8, h = E8_ROWS, HYPERBOLIC_PLANE_ROWS
-        for blocks in ([e8, e8], [e8, e8, h, h], [e8] * 3, [e8] * 4 + [h]):
-            m = _block_sum(*blocks)
-            perm = list(range(m.rows))
-            rng.shuffle(perm)
-            p = mat([[rng.choice((1, -1)) * (j == perm[i]) for j in range(m.rows)]
-                     for i in range(m.rows)])
-            m = p.transpose() @ m @ p  # a signed permutation of the block sum
-            assert 16 <= m.rows <= 40 and not _is_dense(m)
-            events.clear()
-            assert snf(m).diagonal() == (1,) * m.rows
-            assert "hermite" not in events
-        for kind in KINDS:
-            for n in range(6, intmat._HERMITE_MIN):
-                m = _dense_kind(rng, kind, n)
-                events.clear()
-                res = snf(m)
-                assert events[0] == "axpy"  # a pivot first; the growth restart may follow
-                if kind != "random":
-                    assert "hermite" not in events, (kind, n)
-                assert res.diagonal() == smith_diagonal(m)
-
-    def test_hermite_runs_before_any_pivot_on_a_dense_40x40(self, monkeypatch):
-        m = _random_dense(random.Random(2014), 40, 40)
-        events = _smith_events(monkeypatch)
-        _count_smith_mod(monkeypatch, events)
-        smith_diagonal(m)
-        assert events == ["mod"]
-        events.clear()
-        snf(m)
-        assert events[0] == "hermite"
-
-    @pytest.mark.parametrize("n", (12, 16, 20, 40))
+    @pytest.mark.parametrize("n", (12, 16, 20, 28, 40))
     def test_certificate_size(self, n):
-        from sympy import Matrix
-
         rng = random.Random(2015 + n)
-        for kind in KINDS:
-            m = _dense_kind(rng, kind, n)
+        e8, h = E8_ROWS, HYPERBOLIC_PLANE_ROWS
+        cases = [_dense_kind(rng, kind, n) for kind in KINDS]
+        cases += [_signed_permutation(rng, _block_sum(*[e8] * b, *[h] * p)) for b, p in E8_SUMS[n]]
+        if n == 12:  # small dense kinds, one wide and one tall random
+            cases += [_dense_kind(rng, kind, k) for kind in KINDS for k in range(6, 16)]
+            cases += [_random_dense(rng, n, n + 5), _random_dense(rng, n + 5, n)]
+            # kernels of three rows, which pass the bound unless put in Hermite form
+            for k in range(2, 8):
+                cases += [_random_dense(rng, k, k + 3, bound=99)]
+                cases += [_random_dense(rng, k + 3, k, bound=99)]
+        if n in (20, 40):  # +-1 entries, and L U with larger multipliers
+            cases += [_random_dense(rng, n, n, bound=1)]
+            cases += [_lu(rng, n, 2), _lu(rng, n, 3)]
+        if n == 40:
+            cases += [_random_dense(random.Random(2014), n, n), _path_form(n), _path_form(100)]
+        for m in cases:
             res = snf(m)
             assert res.u @ m @ res.v == res.d
             assert res.diagonal() == smith_diagonal(m)
-            assert abs(Matrix(res.u.to_rows()).det()) == 1
-            assert abs(Matrix(res.v.to_rows()).det()) == 1
-            assert max(_bits(res.u), _bits(res.v)) <= _certificate_bound_bits(m), (kind, n)
+            assert abs(_sympy_det(res.u)) == abs(_sympy_det(res.v)) == 1
+            assert max(_bits(res.u), _bits(res.v)) <= _certificate_bound_bits(m), (m.rows, m.cols)
+
+    @pytest.mark.parametrize("n", (2, 40, 100))
+    def test_path_form_takes_only_unit_pivots(self, monkeypatch, n):
+        events = _smith_events(monkeypatch)
+        assert snf(_path_form(n)).diagonal() == (1,) * (n - 1) + (n + 1,)
+        assert "hermite" not in events and events
 
 
 def _lower_ones(n):
@@ -536,7 +512,7 @@ class TestModularSmith:
     def test_same_factors_as_the_smallest_pivot_and_snf(self, monkeypatch, kind):
         rng, events = random.Random(2016), []
         _count_smith_mod(monkeypatch, events)
-        for n in (intmat._HERMITE_MIN, 20, 28, 40):
+        for n in (16, 20, 28, 40):
             m, known = _mod_det_kind(rng, kind, n)
             events.clear()
             diag = smith_diagonal(m)
@@ -556,7 +532,7 @@ class TestModularSmith:
         rng = random.Random(2018)
         m = _lu(rng, 4) @ _diagonal((1, 2, 8, 12)) @ _lu(rng, 4)
         assert intmat._smith_mod(m.to_rows(), 192) == (1, 2, 4, 24) == smith_diagonal(m)
-        for n in range(4, intmat._HERMITE_MIN):
+        for n in range(4, 16):
             for kind in MOD_DET_KINDS:
                 m = _mod_det_kind(rng, kind, n)[0]
                 if det(m):
@@ -790,6 +766,23 @@ class TestSparseKernel:
             for fn in (det, signature):
                 with pytest.raises(AssertionError):
                     fn(m)
+
+    def test_smith_diagonal_of_paths_cycles_and_stars(self):
+        # unit pivots by _unit_core, then the core; a star of k arms (-2, -1)
+        # around a -2 hub has 2k + 1 rows
+        for n in (80, 120, 160):
+            path = _form([-2] * n, [(i, i + 1, 1) for i in range(n - 1)])
+            arms = range(1, n, 2)
+            star = _form([-2] + [-2, -1] * (n // 2),
+                         [(0, i, 1) for i in arms] + [(i, i + 1, 1) for i in arms])
+            for m in (path, _cycle(n, -3), _cycle(n, -2), star):
+                assert _sparse_rows(m) is not None
+                assert smith_diagonal(m) == snf(m).diagonal()
+
+    def test_smith_diagonal_of_a_1600_path(self):
+        m = _form([-2] * 1600, [(i, i + 1, 1) for i in range(1599)])
+        assert smith_diagonal(m) == (1,) * 1599 + (1601,)
+        assert best_cpu_seconds(lambda: smith_diagonal(m)) < 0.25
 
     def test_cpu_ratio_on_800_cycle(self):
         # the word 3,3,...,3: O(n) pivots after one scan of the n^2 entries,
