@@ -11,9 +11,11 @@ with certificates takes +-1 pivots while any is left, and row Hermite
 forms kept reduced, the sides alternating, on what they leave; Bezout steps
 make the diagonal a divisor chain.  Without certificates, a large sparse
 symmetric input first loses its +-1 pivots to ``_unit_core``; then A of
-rank r is reduced modulo D, the absolute value of a nonzero r x r minor
-from the Bareiss pass: d_1 ... d_r divides D, so that is exact, and it
-keeps every entry below D.
+rank r is reduced modulo M, every entry kept below M, where the Bareiss
+pass's last minors give an M that the factors needed divide: on a square
+nonsingular A, gcd(D_(r-1), D_r), as the gcd d_1 ... d_(r-1) of all
+(r-1)-minors divides both, and d_r = |D_r| / (d_1 ... d_(r-1)); else
+|D_r|, which d_1 ... d_r divides.
 """
 
 from __future__ import annotations
@@ -488,10 +490,11 @@ def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
             a = [list(c) for c in zip(*a)]
         fs.append(gcd(a[0][0], d))
         a = [r[1:] for r in a[1:]]
+    ones, fs = fs.count(1), [f for f in fs if f != 1]  # a 1 changes no gcd or lcm
     for i in range(len(fs)):  # Z/x + Z/y = Z/gcd + Z/lcm, into a divisor chain
         for j in range(i + 1, len(fs)):
             fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
-    return tuple(fs)
+    return (1,) * ones + tuple(fs)
 
 
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
@@ -499,16 +502,21 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     unimodular witnesses.  Cheaper than :func:`snf` for bulk homology work.
     A large sparse symmetric ``m`` (see :func:`_sparse_rows`) first loses
     its +-1 pivots to ``_unit_core``, a factor 1 each, and the rest runs on
-    the core they leave.  One Bareiss pass gives the rank r and a nonzero
-    r x r minor D, and ``_smith_mod`` reduces modulo |D|: d_1 ... d_r
-    divides D, so the first r factors over Z/D are d_1, ..., d_r (all 1,
-    with no elimination, when |D| = 1), and the rest are 0."""
+    the core they leave.  One Bareiss pass gives the rank r and nonzero
+    minors D_(r-1) and D_r.  On a nonsingular square core ``_smith_mod``
+    reduces modulo g = gcd(D_(r-1), D_r), which d_1 ... d_(r-1), the gcd
+    of all (r-1)-minors, divides: its first r - 1 factors over Z/g are
+    d_1, ..., d_(r-1), and d_r = |D_r| / (d_1 ... d_(r-1)).  A singular or
+    non-square core keeps the modulus |D_r|, which d_1 ... d_r divides, and
+    the factors past r are 0.  Over Z/1 every factor is 1, with no pass."""
     rows = _sparse_rows(m)
     core = m if rows is None else _unit_core(rows)
     minors = _bareiss(core.to_rows())[0]
     r, d = len(minors) - 1, abs(minors[-1])
-    fs = _smith_mod(core.to_rows(), d)[:r] if d > 1 else (1,) * r
-    fs = (1,) * (m.rows - core.rows) + fs
+    full = r == core.rows == core.cols > 0
+    mod, k = (gcd(minors[-2], d), r - 1) if full else (d, r)
+    fs = _smith_mod(core.to_rows(), mod)[:k] if mod > 1 else (1,) * k
+    fs = (1,) * (m.rows - core.rows) + fs + ((d // prod(fs),) if full else ())
     return fs + (0,) * (min(m.rows, m.cols) - len(fs))
 
 
@@ -518,8 +526,13 @@ def snf(m: IntMatrix) -> SNFResult:
     Returns ``SNFResult(d, u, v)`` with ``u @ m @ v == d``, ``u`` and ``v``
     unimodular, and ``d`` diagonal with nonnegative entries in a divisor
     chain.  ``d`` is the unique such diagonal; ``u`` and ``v`` are one valid
-    choice; the README's Smith note says how their size is bounded.
+    choice; the README's Smith note says how their size is bounded.  Raises
+    ``too-large`` before building anything when ``u`` and ``v`` would have
+    more than ``_MAX_CERTIFICATE`` entries.
     """
+    if m.rows ** 2 + m.cols ** 2 > _MAX_CERTIFICATE:
+        raise DomainError(
+            "too-large", f"{m.rows}x{m.cols} certificates exceed {_MAX_CERTIFICATE} entries")
     work, u, vt = _smith(m)
     return SNFResult(
         d=IntMatrix(m.rows, m.cols, tuple(x for r in work for x in r)),
@@ -605,6 +618,10 @@ def is_perfect_square(n: int) -> bool:
     return s * s == n
 
 
+_MAX_DIMENSION = 10**6  # largest dimension parse_matrix_text reads
+_MAX_CERTIFICATE = 10**7  # most entries of snf's u and v together: 80 MB of pointers a copy
+
+
 def parse_matrix_text(text: str) -> IntMatrix:
     """Parse the matrix interchange format: ``rows cols`` then the entries,
     whitespace-separated in row-major order."""
@@ -614,8 +631,8 @@ def parse_matrix_text(text: str) -> IntMatrix:
     nr, nc, *entries = _ints(tokens, "matrix-syntax", "non-integer token")
     if nr < 0 or nc < 0:
         raise DomainError("matrix-syntax", "negative dimensions")
-    if max(nr, nc) > 10**6:
-        raise DomainError("too-large", f"dimension {max(nr, nc)} exceeds 10^6")
+    if max(nr, nc) > _MAX_DIMENSION:
+        raise DomainError("too-large", f"dimension {max(nr, nc)} exceeds {_MAX_DIMENSION}")
     if len(entries) != nr * nc:
         raise DomainError(
             "matrix-syntax", f"expected {nr * nc} entries, got {len(entries)}"

@@ -547,6 +547,19 @@ class TestTooLarge:
         assert (code, out) == (1, "error=too-large\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header, group", [("0 1000000", "group=0"),
+                                               ("1000000 0", "group=Z^1000000")])
+    def test_empty_matrix_at_the_dimension_cap(self, capsys, tmp_path, header, group):
+        # within the parser's cap, but snf's u and v would be 10^12 entries
+        matrix = tmp_path / "wide.mat"
+        matrix.write_text(header + "\n")
+        start = process_time()
+        code, out, err = invoke(capsys, "mat", "snf", str(matrix))
+        assert process_time() - start < 0.5
+        assert (code, out) == (1, "error=too-large\n")
+        assert "Traceback" not in err
+        assert invoke(capsys, "mat", "group", str(matrix))[:2] == (0, group + "\n")
+
     def test_kirby_dualize_of_one_huge_entry(self, capsys):
         # a single entry 3+x needs a run of x 2's to be a family string, so
         # this is rejected from its parse and nothing long is built

@@ -1,4 +1,7 @@
 import random
+import tracemalloc
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +136,20 @@ class TestSNF:
         for x in smith_diagonal(m):
             prod *= x
         assert abs(d) == prod
+
+    @pytest.mark.parametrize("shape", [(0, 10**6), (10**6, 0)])
+    def test_certificates_past_the_cap_are_refused(self, shape):
+        # no entries, yet a 10^6-square identity for v or u
+        m = IntMatrix(*shape, ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as err:
+                snf(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == "too-large"
+        assert peak < 10**6
 
     def test_smith_diagonal_agrees_with_snf(self):
         rng = random.Random(7)
@@ -579,6 +596,102 @@ class TestModularSmith:
                 unit = abs(_bareiss(m.to_rows())[0][-1]) == 1  # nothing to eliminate over Z/1
                 assert events == ["mod"] * (not unit), n
                 assert diag == (known or snf(m).diagonal()), n
+
+    def test_nonsingular_square_inputs_pass_the_gcd_of_the_last_two_minors(self, monkeypatch):
+        rng, moduli, skipped = random.Random(2023), [], 0
+        _record_moduli(monkeypatch, moduli)
+        cases = [_mod_det_kind(rng, kind, n)[0] for kind in MOD_DET_KINDS for n in (4, 9, 16, 28)]
+        cases += [_random_dense(random.Random(seed), 40, 40) for seed in range(2023, 2029)]
+        for m in cases:
+            minors = _bareiss(m.to_rows())[0]
+            assert len(minors) == m.rows + 1
+            g = gcd(minors[-2], minors[-1])
+            moduli.clear()
+            assert smith_diagonal(m) == snf(m).diagonal()
+            assert moduli == [g] * (g > 1), (m.rows, g)
+            skipped += g == 1 < abs(minors[-1])  # |det| > 1 and still no pass
+        assert skipped >= 3
+
+    def test_singular_and_non_square_inputs_pass_the_largest_minor(self, monkeypatch):
+        rng, moduli = random.Random(2024), []
+        _record_moduli(monkeypatch, moduli)
+        for n in (4, 9, 16, 28):
+            rows = _random_dense(rng, n - 1, n).to_rows()
+            low_rank = mat(rows + [[x + 2 * y for x, y in zip(rows[0], rows[1])]])
+            for m in (_dense_kind(rng, "sym", n), low_rank, _random_dense(rng, n, n + 3),
+                      _random_dense(rng, n + 3, n), _random_dense(rng, n, n + 1, bound=1)):
+                d = abs(_bareiss(m.to_rows())[0][-1])
+                moduli.clear()
+                assert smith_diagonal(m) == snf(m).diagonal()
+                assert moduli == [d] * (d > 1), (m.rows, m.cols)
+
+    def test_cpu_ratio_to_det_on_a_dense_40x40(self):
+        # one Bareiss pass, then elimination modulo gcd(D_39, D_40) = 2;
+        # modulo the 178-bit |det| this took about 3.3 times det
+        m = _random_dense(random.Random(2024), 40, 40)
+        ratio = best_cpu_seconds(lambda: smith_diagonal(m), 5) / best_cpu_seconds(lambda: det(m), 5)
+        assert ratio < 2
+
+
+def _record_moduli(monkeypatch, moduli):
+    """Record the modulus of each ``_smith_mod`` call in ``moduli``."""
+    smith_mod = intmat._smith_mod
+
+    def recorded(a, d):
+        moduli.append(d)
+        return smith_mod(a, d)
+
+    monkeypatch.setattr(intmat, "_smith_mod", recorded)
+
+
+def _full_rank_pool(kind):
+    """Square nonsingular inputs and their invariant factors where known by
+    construction (else None), each also with its first row negated: seeded
+    random ones of 2-12 rows (entries -9..9), U diag(d) V with d a chain of
+    powers of one prime, every 1 x 1 with entry 1..12 and every 2 x 2 with
+    entries -2..2."""
+    rng = random.Random(2025)
+    if kind == "random":
+        cases = [(_random_dense(rng, n, n), None) for n in range(2, 13) for _ in range(12)]
+    elif kind == "prime-power":
+        cases = []
+        for p, n in product((2, 3, 5), (2, 4, 7, 10)):
+            d = tuple(p ** e for e in sorted(rng.randint(0, 3) for _ in range(n)))
+            cases.append((_lu(rng, n) @ _diagonal(d) @ _lu(rng, n), d))
+    elif kind == "1x1":
+        cases = [(mat([[x]]), (x,)) for x in range(1, 13)]
+    else:
+        cases = [(mat([[a, b], [c, e]]), None) for a, b, c, e in product(range(-2, 3), repeat=4)]
+    cases = [(m, known) for m, known in cases if det(m)]
+    return cases + [(IntMatrix(m.rows, m.cols, tuple(-x for x in m.entries[:m.cols])
+                               + m.entries[m.cols:]), known) for m, known in cases]
+
+
+class TestLastTwoMinors:
+    """On a nonsingular square input ``smith_diagonal`` eliminates modulo
+    g = gcd(D_(n-1), D_n) and divides |det| by d_1 ... d_(n-1) for the last
+    factor.  Checked against sympy and :func:`snf` where the minors share a
+    factor that d_1 ... d_(n-1) does not (g > d_(n-1)), where g = d_(n-1),
+    where g = 1, and on prime-power chains and negative determinants."""
+
+    @pytest.mark.parametrize("kind", ("random", "prime-power", "1x1", "2x2"))
+    def test_against_sympy_and_snf(self, kind):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import smith_normal_form
+
+        seen = set()
+        for m, known in _full_rank_pool(kind):
+            reference = smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
+            theirs = tuple(sorted(int(abs(reference[i, i])) for i in range(m.rows)))
+            assert smith_diagonal(m) == theirs == snf(m).diagonal(), m
+            assert known is None or theirs == known, m
+            minors = _bareiss(m.to_rows())[0]
+            g, last = gcd(minors[-2], minors[-1]), theirs[-2] if m.rows > 1 else 1
+            seen.add("g=1" if g == 1 else "g=d" if g == last else "g>d")
+            seen.add("negative" if det(m) < 0 else "positive")
+        wanted = {"random": {"g=1", "g=d", "g>d"}, "prime-power": {"g=d", "g>d"},
+                  "1x1": {"g=1"}, "2x2": {"g=1", "g=d", "g>d"}}[kind]
+        assert wanted | {"negative", "positive"} <= seen
 
 
 def _block_sum(*blocks):
