@@ -1,15 +1,18 @@
 """Exact integer linear algebra.
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here
-touches floating point or fractions.  One fraction-free (Bareiss) pass gives
-the determinant, the rank and the signature.  A square symmetric matrix of
-at least ``_SPARSE_MIN`` (80) rows with at most 3n nonzeros, such as a
-plumbing form, gets its determinant and signature from the same elimination
-on its nonzeros instead, pivoting in least-degree order; ``_unit_core``
-takes a form's nonzeros to a cokernel by its +-1 pivots.  Smith reduction
-with certificates takes +-1 pivots while any is left, and row Hermite
-forms kept reduced, the sides alternating, on what they leave; Bezout steps
-make the diagonal a divisor chain.  Without certificates, a large sparse
+touches floating point or fractions.  The determinant, the rank, the
+signature and the Smith modulus are leading minors of one fraction-free
+(Bareiss) elimination, and ``_minors`` alone picks its kernel: a square
+symmetric matrix of at least ``_SPARSE_MIN`` (80) rows with at most 3n
+nonzeros, such as a plumbing form, is eliminated on its nonzeros in
+least-degree order.  A symmetric elimination with no live diagonal entry
+adds row and column j to row and column i, a congruence that makes a_ii =
+2 a_ij, so every step is one pivot.  ``_unit_core`` takes a form's
+nonzeros to a cokernel by its +-1 pivots.  Smith reduction with
+certificates takes +-1 pivots while any is left, and row Hermite forms
+kept reduced, the sides alternating, on what they leave; Bezout steps make
+the diagonal a divisor chain.  Without certificates, a large sparse
 symmetric input first loses its +-1 pivots to ``_unit_core``; then A of
 rank r is reduced modulo M, every entry kept below M, where the Bareiss
 pass's last minors give an M that the factors needed divide: on a square
@@ -165,71 +168,66 @@ def _bareiss(a: list[list[int]], symmetric: bool = False) -> tuple[list[int], in
     the permuted ``a`` at each step (its length less one is the rank), and
     ``sign`` is that of the permutations.  Rows the pivot column misses are
     not rescaled but keep the minor they are over in ``base``, so sparse
-    forms cost about O(n^2).  ``symmetric`` pivots on the diagonal; a zero
-    diagonal splits off a hyperbolic pair, recorded as 0 and the next minor."""
+    forms cost about O(n^2).  ``symmetric`` pivots on the diagonal; when
+    no live diagonal entry is left, a nonzero a_ij gets row j added to row
+    i and column j to column i, a congruence of det 1 that makes a_ii =
+    2 a_ij, and that pivot follows."""
     nr, nc = len(a), len(a[0]) if a else 0
     base, minors, sign, k = [1] * nr, [1], 1, 0
     while k < nr and k < nc:
         prev = minors[-1]
-        step = 1
-        if not a[k][k]:  # bring (row, column) pairs to the pivot positions
+        if not a[k][k]:  # bring a nonzero entry (i, j) to the pivot position
             if symmetric:
-                i = next((i for i in range(k, nr) if a[i][i]), nr)
-                moves = [(i, i)] if i < nr else next(
-                    ([(i, i), (j, j)] for i in range(k, nr) for j in range(i + 1, nc) if a[i][j]),
-                    [])
+                i = j = next((i for i in range(k, nr) if a[i][i]), nr)
+                if i == nr:
+                    pairs = ((i, j) for i in range(k, nr) for j in range(i + 1, nc) if a[i][j])
+                    i, j = next(pairs, (nr, nr))
+                if i < j:  # rows i and j over the current minor, then the congruence
+                    for r in (i, j):
+                        a[r], base[r] = [x * prev // base[r] for x in a[r]], prev
+                    a[i] = [x + y for x, y in zip(a[i], a[j])]
+                    for row in a[k:]:
+                        row[i] += row[j]
+                    j = i
             else:
-                moves = next(([(i, j)] for j in range(k, nc) for i in range(k, nr) if a[i][j]), [])
-            if not moves:
+                i, j = next(((i, j) for j in range(k, nc) for i in range(k, nr) if a[i][j]),
+                            (nr, nc))
+            if i == nr:
                 break
-            for d, (i, j) in enumerate(moves, k):
-                if i != d:
-                    a[i], a[d], base[i], base[d], sign = a[d], a[i], base[d], base[i], -sign
-                if j != d:
-                    for row in a:
-                        row[j], row[d] = row[d], row[j]
-                    sign = -sign
-            step = len(moves)
-        for d in range(k, k + step) if step > 1 or base[k] != prev else ():
-            a[d] = [x * prev // base[d] for x in a[d]]
-        rk = a[k]
-        if step == 1:
-            p = rk[k]
-            for r in range(k + 1, nr):
-                row = a[r]
-                x = row[k]
-                if x:
-                    d = base[r]
-                    for j in range(k + 1, nc):
-                        row[j] = (row[j] * p - x * rk[j]) // d
-                    base[r] = p
-            minors.append(p)
-        else:  # the pair [[0, b], [b, 0]]: D_(k+2) = -b^2 / D_k
-            rl, b = a[k + 1], rk[k + 1]
-            p = -b * b // prev
-            for r in range(k + 2, nr):
-                row = a[r]
-                x, y = row[k], row[k + 1]
-                if x or y:
-                    d = prev * base[r]
-                    for j in range(k + 2, nc):
-                        row[j] = b * (x * rl[j] + y * rk[j] - b * row[j]) // d
-                    base[r] = p
-            minors += [0, p]
-        k += step
+            if i != k:
+                a[i], a[k], base[i], base[k], sign = a[k], a[i], base[k], base[i], -sign
+            if j != k:
+                for row in a:
+                    row[j], row[k] = row[k], row[j]
+                sign = -sign
+        if base[k] != prev:
+            a[k] = [x * prev // base[k] for x in a[k]]
+        rk, p = a[k], a[k][k]
+        for r in range(k + 1, nr):
+            row = a[r]
+            x = row[k]
+            if x:
+                d = base[r]
+                for j in range(k + 1, nc):
+                    row[j] = (row[j] * p - x * rk[j]) // d
+                base[r] = p
+        minors.append(p)
+        k += 1
     return minors, sign
 
 
 def _sparse_minors(rows: list[dict[int, int]]) -> list[int]:
     """Symmetric fraction-free elimination of a symmetric matrix stored as
-    rows ``{column: nonzero entry}`` (consumed); returns the minors that
-    ``_bareiss(a, symmetric=True)`` gives on a symmetric permutation of it.
-    Each pivot is a live row with the fewest nonzeros and a nonzero diagonal
+    rows ``{column: nonzero entry}`` (consumed), the steps of
+    ``_bareiss(a, symmetric=True)`` in another pivot order; returns its
+    minors, so det, rank and signature are those of ``_bareiss``.  Each
+    pivot is a live row with the fewest nonzeros and a nonzero diagonal
     (minimum degree, from a heap whose stale entries are skipped): on a tree
     that eliminates leaves first, and on a cycle every row keeps at most
     three nonzeros.  Rows keep the lazy ``base`` of ``_bareiss``.  With no
-    diagonal left, a row and its sparsest neighbour split off as a
-    hyperbolic pair; a row left empty adds nothing to the rank."""
+    diagonal left, the row i of fewest nonzeros takes the congruence of
+    ``_bareiss`` with its sparsest neighbour j and is the pivot; a row left
+    empty adds nothing to the rank."""
     base, minors = [1] * len(rows), [1]
     heap = [(not r.get(i), len(r), i) for i, r in enumerate(rows)]
     heapify(heap)
@@ -238,37 +236,28 @@ def _sparse_minors(rows: list[dict[int, int]]) -> list[int]:
         ri = rows[i]
         if ri is None or (zero, size) != (not ri.get(i), len(ri)):
             continue  # stale: the row is gone or has changed since
-        rows[i], prev = None, minors[-1]
+        rows[i], prev, j = None, minors[-1], i
         if not size:
             continue
         if base[i] != prev:
             ri = {c: v * prev // base[i] for c, v in ri.items()}
-        if zero:  # the pair [[0, b], [b, 0]]: D_(k+2) = -b^2 / D_k
+        if zero:  # the congruence: a_ii becomes a_ji + a_ij = 2 a_ij
             j = min(ri, key=lambda c: len(rows[c]))
-            rj, rows[j] = rows[j], None
-            if base[j] != prev:
-                rj = {c: v * prev // base[j] for c, v in rj.items()}
-            b, _ = ri.pop(j), rj.pop(i)
-            s, nbrs = -b * b, ri.keys() | rj
-            minors += [0, s // prev]
-        else:
-            s, nbrs = ri.pop(i), ri
-            minors.append(s)
-        for r in nbrs:  # row r becomes (s row - x w) / d
+            rj, bj = rows[j], base[j]  # row j over the current minor
+            ri = {c: ri.get(c, 0) + rj.get(c, 0) * prev // bj for c in ri.keys() | rj}
+            ri[i] += ri[j]
+        s = ri.pop(i)
+        minors.append(s)
+        for r in ri:  # row r becomes (s row - x ri) / base[r]
             row = rows[r]
             key = (not row.get(r), len(row))
-            if zero:
-                x, y = row.pop(i, 0), row.pop(j, 0)
-                w = {c: -b * (x * rj.get(c, 0) + y * ri.get(c, 0)) for c in nbrs}
-                x, d = 1, prev * base[r]
-            else:
-                x, w, d = row.pop(i), ri, base[r]
-            new = {c: (s * v - x * w.get(c, 0)) // d for c, v in row.items()}
-            for c in w.keys() - new.keys():
-                new[c] = -x * w[c] // d
+            x, d = row.pop(i, 0) + row.get(j, 0), base[r]  # j == i adds 0 once i is popped
+            new = {c: (s * v - x * ri.get(c, 0)) // d for c, v in row.items()}
+            for c in ri.keys() - new.keys():
+                new[c] = -x * ri[c] // d
             if 0 in new.values():
                 new = {c: v for c, v in new.items() if v}
-            rows[r], base[r] = new, minors[-1]
+            rows[r], base[r] = new, s
             if key != (not new.get(r), len(new)):  # else its heap entry still holds
                 heappush(heap, (not new.get(r), len(new), r))
     return minors
@@ -502,16 +491,16 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     unimodular witnesses.  Cheaper than :func:`snf` for bulk homology work.
     A large sparse symmetric ``m`` (see :func:`_sparse_rows`) first loses
     its +-1 pivots to ``_unit_core``, a factor 1 each, and the rest runs on
-    the core they leave.  One Bareiss pass gives the rank r and nonzero
-    minors D_(r-1) and D_r.  On a nonsingular square core ``_smith_mod``
-    reduces modulo g = gcd(D_(r-1), D_r), which d_1 ... d_(r-1), the gcd
-    of all (r-1)-minors, divides: its first r - 1 factors over Z/g are
+    the core they leave.  One elimination (:func:`_minors`) gives the rank
+    r and nonzero minors D_(r-1) and D_r.  On a nonsingular square core
+    ``_smith_mod`` reduces modulo g = gcd(D_(r-1), D_r), which d_1 ...
+    d_(r-1), the gcd of all (r-1)-minors, divides: its first r - 1 factors over Z/g are
     d_1, ..., d_(r-1), and d_r = |D_r| / (d_1 ... d_(r-1)).  A singular or
     non-square core keeps the modulus |D_r|, which d_1 ... d_r divides, and
     the factors past r are 0.  Over Z/1 every factor is 1, with no pass."""
     rows = _sparse_rows(m)
     core = m if rows is None else _unit_core(rows)
-    minors = _bareiss(core.to_rows())[0]
+    minors = _minors(core)[0]
     r, d = len(minors) - 1, abs(minors[-1])
     full = r == core.rows == core.cols > 0
     mod, k = (gcd(minors[-2], d), r - 1) if full else (d, r)
@@ -563,19 +552,32 @@ def _sparse_rows(m: IntMatrix) -> list[dict[int, int]] | None:
     return rows
 
 
+def _minors(m: IntMatrix, symmetric: bool = False) -> tuple[list[int], int]:
+    """``(minors, sign)`` of one fraction-free elimination of ``m``, the one
+    place that picks its kernel: ``_sparse_minors`` on what
+    :func:`_sparse_rows` accepts (a symmetric permutation, sign 1), else
+    ``_bareiss``, or ``([1], 1)`` with no row built when a dimension is 0.
+    ``symmetric`` pivots on the diagonal, for signatures, and first rejects
+    a non-symmetric ``m`` (``_sparse_rows`` checks its nonzeros)."""
+    rows = _sparse_rows(m)
+    if rows is not None:
+        return _sparse_minors(rows), 1
+    if symmetric and not m.is_symmetric:
+        raise DomainError("non-symmetric", "signature needs a symmetric matrix")
+    return _bareiss(m.to_rows(), symmetric) if m.rows and m.cols else ([1], 1)
+
+
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination: ``_sparse_minors``
-    on a large sparse symmetric matrix, else Bareiss."""
+    """Exact determinant by one fraction-free elimination (:func:`_minors`)."""
     if not m.is_square:
         raise DomainError("non-square", "determinant needs a square matrix")
-    rows = _sparse_rows(m)
-    minors, sign = _bareiss(m.to_rows()) if rows is None else (_sparse_minors(rows), 1)
+    minors, sign = _minors(m)
     return sign * minors[-1] if len(minors) > m.rows else 0
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank over Q (equivalently over Z), by Bareiss with full pivoting."""
-    return len(_bareiss(m.to_rows())[0]) - 1
+    """Rank over Q (equivalently over Z): the number of pivots of :func:`_minors`."""
+    return len(_minors(m)[0]) - 1
 
 
 def abelian_group_of(m: IntMatrix) -> AbelianGroupDesc:
@@ -591,14 +593,10 @@ def abelian_group_of(m: IntMatrix) -> AbelianGroupDesc:
 
 def _det_signature(m: IntMatrix) -> tuple[int, int]:
     """``(det, signature)`` of a symmetric ``m`` from the leading minors
-    ``D_k`` of one symmetric elimination (``_sparse_minors`` or Bareiss, as
-    for :func:`det`).  By Sylvester's rule each single step adds the sign of
-    ``D_(k-1) D_k`` and each hyperbolic pair adds 0; with full rank the last
-    minor is det."""
-    rows = _sparse_rows(m)
-    if rows is None and not m.is_symmetric:
-        raise DomainError("non-symmetric", "signature needs a symmetric matrix")
-    minors = _bareiss(m.to_rows(), symmetric=True)[0] if rows is None else _sparse_minors(rows)
+    ``D_k`` of one symmetric elimination (:func:`_minors`).  Its steps are
+    congruences, so by Sylvester's rule each adds the sign of
+    ``D_(k-1) D_k``; with full rank the last minor is det."""
+    minors = _minors(m, symmetric=True)[0]
     sigma = sum((x * y > 0) - (x * y < 0) for x, y in zip(minors, minors[1:]))
     return minors[-1] if len(minors) > m.rows else 0, sigma
 

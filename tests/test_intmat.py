@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from itertools import product
@@ -181,6 +182,19 @@ class TestAbelianGroup:
     def test_divisor_chain_enforced(self):
         with pytest.raises(DomainError):
             AbelianGroupDesc(0, (4, 2))
+
+    @pytest.mark.parametrize("shape, free", [((10**6, 0), 10**6), ((0, 10**6), 0)])
+    def test_a_zero_dimension_builds_nothing(self, shape, free):
+        # rank 0 and Z^rows follow from the shape; no row or minor is built
+        m = IntMatrix(*shape, ())
+        tracemalloc.start()
+        try:
+            group, r = abelian_group_of(m), rank(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (group, r) == (AbelianGroupDesc(free, ()), 0)
+        assert peak < 2**20
 
 
 class TestSignature:
@@ -790,10 +804,12 @@ def _oracle(m):
 def plumbing_forms(draw):
     """Forms of forests (several components), plus a few extra edges that
     close cycles, join components, double a tree edge (cancelling to 0 or
-    adding to 2) or are self-loops (diagonal +-2); weights -3..3.  Sizes
-    fall on both sides of the sparse cutoff."""
+    adding to 2) or are self-loops (diagonal +-2); weights -3..3, or mostly
+    0 so that both kernels run out of diagonal and take the congruence.
+    Sizes fall on both sides of the sparse cutoff."""
     n = draw(st.one_of(st.integers(1, 12), st.integers(_SPARSE_MIN - 8, _SPARSE_MIN + 24)))
-    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    weight = draw(st.sampled_from((st.integers(-3, 3), st.sampled_from((0,) * 8 + (-2, 1)))))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
     sign = st.sampled_from((-1, 1))
     links = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 2**16), sign),
                           min_size=n - 1, max_size=n - 1))
@@ -818,21 +834,24 @@ class TestSparseKernel:
         assert _sylvester(minors) == sig
         assert (det(m), signature(m)) == (d, sig)
 
-    def test_zero_weight_cycle_takes_only_hyperbolic_steps(self):
+    def test_zero_weight_cycle_takes_only_congruence_steps(self):
+        # no diagonal is ever live: each pivot is 2 a_ij after the congruence,
+        # and the dense kernel takes the same steps (a row step alone gives a_ij)
         m = _cycle(100, 0)
         minors = _kernel(m)
-        assert len(minors) == 99 and minors[1::2] == [0] * 49
+        assert len(minors) == 99 and all(0 < abs(x) <= 2 for x in minors)
+        assert minors == _bareiss(m.to_rows(), symmetric=True)[0]
         assert (len(minors) - 1, 0, _sylvester(minors)) == _oracle(m) == (98, 0, 0)
         assert (det(m), signature(m)) == (0, 0)
 
     def test_hyperbolic_partner_over_an_older_minor(self):
         # vertex 2 cancels the diagonal of vertex 1 and leaves it over the
         # minor 1; the 3-4 edge moves the minor on to 8; then the zero
-        # 4-cycle 0-1-5-6 pairs 0 with 1, whose row must be rescaled to 8
+        # 4-cycle 0-1-5-6 adds row 1 to row 0, so row 1 must be rescaled to 8
         m = _form([0, 1, 1, 3, 3, 0, 0], [(0, 1, 1), (1, 5, 1), (5, 6, 1), (6, 0, 1),
                                          (1, 2, 1), (3, 4, 1)])
         minors = _kernel(m)
-        assert minors[:5] == [1, 1, 3, 8, 0]
+        assert minors[:5] == [1, 1, 3, 8, 16]
         assert (len(minors) - 1, 0, _sylvester(minors)) == _oracle(m) == (5, 0, 3)
 
     def test_singular_path_stops_early(self):
@@ -864,7 +883,7 @@ class TestSparseKernel:
 
     def test_routing(self, monkeypatch):
         sparse = [_cycle(100, -3), _cycle(_SPARSE_MIN, 0)]  # 3n nonzeros
-        expected = [(det(m), signature(m)) for m in sparse]
+        expected = [(det(m), signature(m), rank(m)) for m in sparse]
         dense = mat([[(i + j) % 5 - 2 or 3 for j in range(5)] for i in range(5)])
         path = _form([-2] * 40, [(i, i + 1, 1) for i in range(39)])
         chord = _form([-3] * 100, [(i, (i + 1) % 100, 1) for i in range(100)] + [(0, 50, 1)])
@@ -873,10 +892,10 @@ class TestSparseKernel:
             raise AssertionError("dense elimination")
 
         monkeypatch.setattr(intmat, "_bareiss", no_bareiss)
-        assert [(det(m), signature(m)) for m in sparse] == expected
+        assert [(det(m), signature(m), rank(m)) for m in sparse] == expected
         for m in (dense, path, _cycle(_SPARSE_MIN - 1, 0), chord):
             assert m.is_symmetric
-            for fn in (det, signature):
+            for fn in (det, signature, rank):
                 with pytest.raises(AssertionError):
                     fn(m)
 
@@ -896,6 +915,29 @@ class TestSparseKernel:
         m = _form([-2] * 1600, [(i, i + 1, 1) for i in range(1599)])
         assert smith_diagonal(m) == (1,) * 1599 + (1601,)
         assert best_cpu_seconds(lambda: smith_diagonal(m)) < 0.25
+
+    @pytest.mark.parametrize("weight, closed", [(-2, False), (0, True)],
+                             ids=["path", "zero-cycle"])
+    def test_doubling_ratio_under_2_5(self, weight, closed):
+        """``_sparse_minors`` is linear on -2 paths (1x1 pivots, minors up to
+        n + 1) and on zero-weight cycles (a congruence before every other pivot,
+        minors up to 2): the median of nine ratios of n = 1600 to n = 800
+        stays under 2.5.  The rows are built inside the timed call, as the
+        kernel consumes them.  Stars are left out: each leaf pivot rebuilds
+        the hub's row, so a star of k leaves costs O(k^2)."""
+        def run(n):
+            rows = [{i: weight} if weight else {} for i in range(n)]
+            for i in range(n if closed else n - 1):
+                rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = 1
+            _sparse_minors(rows)
+
+        gc.disable()
+        try:
+            ratios = sorted(best_cpu_seconds(lambda: run(1600), 1)
+                            / best_cpu_seconds(lambda: run(800), 1) for _ in range(9))
+        finally:
+            gc.enable()
+        assert ratios[4] < 2.5
 
     def test_cpu_ratio_on_800_cycle(self):
         # the word 3,3,...,3: O(n) pivots after one scan of the n^2 entries,
