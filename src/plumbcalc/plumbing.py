@@ -189,12 +189,13 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     return flipped
 
 
-def _form_rows(g: PlumbingGraph) -> list[dict[int, int]]:
-    """Q's rows ``{column: nonzero entry}``: a vertex's weight plus 2*sign
-    per self-loop on the diagonal, the sum of the edges' signs elsewhere."""
-    index = {n: i for i, (n, _) in enumerate(g.vertices)}
-    rows = [{i: w} for i, (_, w) in enumerate(g.vertices)]
-    for u, v, s in g.edges:  # a self-loop adds its sign twice
+def _form_rows(vertices, edges) -> list[dict[int, int]]:
+    """Q's rows ``{column: nonzero entry}``, read from a vertex list and an
+    edge list: a vertex's weight plus 2*sign per self-loop on the diagonal,
+    the sum of the edges' signs elsewhere."""
+    index = {n: i for i, (n, _) in enumerate(vertices)}
+    rows = [{i: w} for i, (_, w) in enumerate(vertices)]
+    for u, v, s in edges:  # a self-loop adds its sign twice
         i, j = index[u], index[v]
         rows[i][j] = rows[i].get(j, 0) + s
         rows[j][i] = rows[j].get(i, 0) + s
@@ -205,7 +206,7 @@ def intersection_form(g: PlumbingGraph) -> IntMatrix:
     """Symmetric linking matrix Q, filled from :func:`_form_rows`."""
     n = len(g.vertices)
     q = [0] * (n * n)
-    for i, row in enumerate(_form_rows(g)):
+    for i, row in enumerate(_form_rows(g.vertices, g.edges)):
         for j, x in row.items():
             q[i * n + j] = x
     return IntMatrix(n, n, tuple(q))
@@ -217,7 +218,7 @@ def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:
     cycles = g.cycle_count
     if cycles > 1:
         raise DomainError("multi-cycle", "boundary homology needs at most one cycle")
-    coker = abelian_group_of(_unit_core(_form_rows(g)))
+    coker = abelian_group_of(_unit_core(_form_rows(g.vertices, g.edges)))
     return AbelianGroupDesc(coker.free_rank + cycles, coker.torsion_factors)
 
 
@@ -380,14 +381,12 @@ def check_join_hypotheses(g: PlumbingGraph, v: str) -> JoinHypotheses:
     if not g.is_tree():
         raise DomainError("non-tree", "hypothesis check needs a plumbing tree")
     g.weight(v)
-    whole = boundary_homology(g)
-    boundary_ok = whole == AbelianGroupDesc(1, ())
-
-    rest_vertices = tuple((n, w) for n, w in g.vertices if n != v)
-    rest_edges = tuple((u, vv, s) for u, vv, s in g.edges if u != v and vv != v)
-    rest = PlumbingGraph(rest_vertices, rest_edges)
-    complement_ok = boundary_homology(rest).free_rank == 0
-    return JoinHypotheses(boundary_ok, complement_ok)
+    boundary_ok = boundary_homology(g) == AbelianGroupDesc(1, ())
+    # the tree minus v is a forest, so its boundary's homology is coker(Q)
+    rest_vertices = [(n, w) for n, w in g.vertices if n != v]
+    rest_edges = [e for e in g.edges if v not in e]  # a sign is never a name
+    complement = abelian_group_of(_unit_core(_form_rows(rest_vertices, rest_edges)))
+    return JoinHypotheses(boundary_ok, complement.free_rank == 0)
 
 
 def canonical_key(g: PlumbingGraph) -> str:

@@ -1,5 +1,6 @@
 """Shared test fixtures: independent oracles and exhaustive corpora."""
 
+import gc
 import random
 from itertools import product
 from time import process_time
@@ -101,6 +102,26 @@ def best_cpu_seconds(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, process_time() - start)
     return best
+
+
+def median_cpu_ratio(slow, fast) -> float:
+    """The median of nine ratios of the CPU time of one ``slow()`` call to
+    that of one ``fast()`` call.  Each ratio times the two back to back, so
+    that a drift in the machine's speed hits both, with the cycle collector
+    off, as timeit does: a full collection scans the whole session's heap,
+    which is no cost of the code timed."""
+    ratios = []
+    gc.disable()
+    try:
+        for _ in range(9):
+            start = process_time()
+            slow()
+            middle = process_time()
+            fast()
+            ratios.append((middle - start) / (process_time() - middle))
+    finally:
+        gc.enable()
+    return sorted(ratios)[4]
 
 
 def reference_recognize_family(a):

@@ -1,4 +1,3 @@
-import gc
 import random
 import tracemalloc
 from itertools import product
@@ -33,6 +32,7 @@ from conftest import (
     HYPERBOLIC_PLANE_ROWS,
     best_cpu_seconds,
     cofactor_det,
+    median_cpu_ratio,
     random_unimodular,
 )
 from test_crosschecks import _signature_by_charpoly
@@ -643,8 +643,7 @@ class TestModularSmith:
         # one Bareiss pass, then elimination modulo gcd(D_39, D_40) = 2;
         # modulo the 178-bit |det| this took about 3.3 times det
         m = _random_dense(random.Random(2024), 40, 40)
-        ratio = best_cpu_seconds(lambda: smith_diagonal(m), 5) / best_cpu_seconds(lambda: det(m), 5)
-        assert ratio < 2
+        assert median_cpu_ratio(lambda: smith_diagonal(m), lambda: det(m)) < 2
 
 
 def _record_moduli(monkeypatch, moduli):
@@ -931,19 +930,12 @@ class TestSparseKernel:
                 rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = 1
             _sparse_minors(rows)
 
-        gc.disable()
-        try:
-            ratios = sorted(best_cpu_seconds(lambda: run(1600), 1)
-                            / best_cpu_seconds(lambda: run(800), 1) for _ in range(9))
-        finally:
-            gc.enable()
-        assert ratios[4] < 2.5
+        assert median_cpu_ratio(lambda: run(1600), lambda: run(800)) < 2.5
 
     def test_cpu_ratio_on_800_cycle(self):
         # the word 3,3,...,3: O(n) pivots after one scan of the n^2 entries,
         # against Bareiss's O(n^2) work on the same matrix
         m = _cycle(800, -3)
-        bareiss_det = best_cpu_seconds(lambda: _bareiss(m.to_rows()))
-        assert best_cpu_seconds(lambda: det(m)) * 2.5 <= bareiss_det
-        bareiss_sig = best_cpu_seconds(lambda: _bareiss(m.to_rows(), symmetric=True))
-        assert best_cpu_seconds(lambda: signature(m)) * 2.5 <= bareiss_sig
+        assert median_cpu_ratio(lambda: _bareiss(m.to_rows()), lambda: det(m)) >= 2.5
+        assert median_cpu_ratio(lambda: _bareiss(m.to_rows(), symmetric=True),
+                                lambda: signature(m)) >= 2.5

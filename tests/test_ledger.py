@@ -31,6 +31,7 @@ from conftest import (
     brute_lex_min_rotation,
     family_parameter_space,
     hyperbolic_strings,
+    median_cpu_ratio,
 )
 
 
@@ -230,9 +231,9 @@ class TestDeepJoinChain:
     STEPS = 200
     BASE = "s1xs2-base(homology-level)"
 
-    def chain(self, seed):
+    def chain(self, seed, steps=STEPS):
         rng = random.Random(seed)
-        seeds = [seed_path(rng, rng.randint(3, 4)) for _ in range(self.STEPS + 1)]
+        seeds = [seed_path(rng, rng.randint(3, 4)) for _ in range(steps + 1)]
         build = Construction()
         for i, w in enumerate(seeds):
             names = [f"T{i}_{j}" for j in range(len(w))]
@@ -240,7 +241,7 @@ class TestDeepJoinChain:
                 tuple(zip(names, w)),
                 tuple((names[j], names[j + 1], 1) for j in range(len(w) - 1)),
             ))
-        for i in range(1, self.STEPS + 1):
+        for i in range(1, steps + 1):
             left = "T0" if i == 1 else f"J{i - 1}"
             build.add_join(f"J{i}", left, f"T{i - 1}_{len(seeds[i - 1]) - 1}", f"T{i}", f"T{i}_0")
         return build, seeds
@@ -280,6 +281,13 @@ class TestDeepJoinChain:
         build, _ = self.chain(7)
         top = f"J{self.STEPS}"
         assert best_cpu_seconds(lambda: build.evaluate(top)) < 0.05
+
+    def test_top_doubling_ratio_under_2_5(self):
+        # one generator draws the seed paths in order, so J_200 of the
+        # 400-step chain is the top of the 200-step one
+        build, _ = self.chain(7, 2 * self.STEPS)
+        assert median_cpu_ratio(lambda: build.evaluate(f"J{2 * self.STEPS}"),
+                                lambda: build.evaluate(f"J{self.STEPS}")) < 2.5
 
 
 class TestMutualExclusivity:

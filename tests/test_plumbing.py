@@ -1,4 +1,3 @@
-import gc
 import random
 
 import pytest
@@ -25,7 +24,13 @@ from plumbcalc.plumbing import (
 )
 from plumbcalc.sl2 import MonodromyWord, SL2Element, word_to_matrix
 
-from conftest import best_cpu_seconds, hyperbolic_strings, reference_join, reference_self_join
+from conftest import (
+    best_cpu_seconds,
+    hyperbolic_strings,
+    median_cpu_ratio,
+    reference_join,
+    reference_self_join,
+)
 
 
 def path_graph(weights, names=None):
@@ -33,6 +38,11 @@ def path_graph(weights, names=None):
     vertices = tuple(zip(names, weights))
     edges = tuple((names[i], names[i + 1], 1) for i in range(len(weights) - 1))
     return PlumbingGraph(vertices, edges)
+
+
+def minus_two_path(n):
+    """The -2 path v0, ..., v(n-1): Z/(n + 1)."""
+    return path_graph([-2] * n, [f"v{i}" for i in range(n)])
 
 
 def star_graph(arms):
@@ -279,27 +289,17 @@ class TestGraphNativeHomology:
         assert best_cpu_seconds(lambda: boundary_homology(g)) < 0.05
 
     # every input has a small determinant, so the ratios leave out the
-    # growth of the arithmetic and show the elimination alone.  Each of nine
-    # ratios times the two sizes back to back, so that a drift in the
-    # machine's speed hits both, with the cycle collector off, as timeit
-    # does: a full collection scans the whole session's heap, which is no
-    # cost of the kernel.  Their median is the ratio.
+    # growth of the arithmetic and show the elimination alone
     @pytest.mark.parametrize("build, n", [
-        (lambda n: path_graph([-2] * n, [f"v{i}" for i in range(n)]), 800),
+        (minus_two_path, 800),
         (star_graph, 800),
         (caterpillar_graph, 400),
         (lambda n: cycle_plumbing_from_word(MonodromyWord((2,) * n, -1)), 800),
     ], ids=["path", "star", "caterpillar", "parabolic-cycle"])
     def test_doubling_ratio_under_2_5(self, build, n):
         small, large = build(n), build(2 * n)
-        gc.disable()
-        try:
-            ratios = sorted(best_cpu_seconds(lambda: boundary_homology(large), 1)
-                            / best_cpu_seconds(lambda: boundary_homology(small), 1)
-                            for _ in range(9))
-        finally:
-            gc.enable()
-        assert ratios[4] < 2.5
+        assert median_cpu_ratio(lambda: boundary_homology(large),
+                                lambda: boundary_homology(small)) < 2.5
 
     def test_1600_arm_star_under_100ms(self):
         g = star_graph(1600)
@@ -314,7 +314,19 @@ class TestOneWalkPerGraph:
     normalized, a parsed tree, and a path built from its weights, whose
     homology and tree test share the walk (the S^1 x S^2 seed)."""
 
-    @pytest.mark.parametrize("source, walks", [
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The graphs that ``_spanning_forest`` is called on, in order."""
+        calls, forest = [], plumbing._spanning_forest
+
+        def counted(g):
+            calls.append(g)
+            return forest(g)
+
+        monkeypatch.setattr(plumbing, "_spanning_forest", counted)
+        return calls
+
+    @pytest.mark.parametrize("source, count", [
         ("vertex a -3\nvertex b -3\nvertex c -3\nedge a b +\nedge b c +\nedge c a +\n", 1),
         (SEED_PATH_TEXT, 1),
         # two negative cycle edges: the sign-normalized graph keeps the walk
@@ -322,33 +334,27 @@ class TestOneWalkPerGraph:
         ((-2, -2, -2), 1),
         ((-1, -2, -2, -1), 1),
     ], ids=["3-cycle", "4-path", "3-cycle-normalized", "3-path-built", "4-path-seed-built"])
-    def test_evaluate_graph(self, monkeypatch, source, walks):
-        calls, forest = [], plumbing._spanning_forest
-
-        def counted(g):
-            calls.append(g)
-            return forest(g)
-
-        monkeypatch.setattr(plumbing, "_spanning_forest", counted)
+    def test_evaluate_graph(self, walks, source, count):
         evaluate_graph(parse_graph(source) if isinstance(source, str) else path_graph(source))
-        assert len(calls) == walks
+        assert len(walks) == count
 
-    def test_join_chain_walks_each_tree_once(self, monkeypatch):
+    def test_join_chain_walks_each_tree_once(self, walks):
         # 50 joins of a fresh (-1, -2, -2) path, at its -2 end, onto one hub:
         # the seed and each path are walked once, and no join result again
-        calls, forest = [], plumbing._spanning_forest
-
-        def counted(g):
-            calls.append(g)
-            return forest(g)
-
-        monkeypatch.setattr(plumbing, "_spanning_forest", counted)
         g = path_graph([-1, -2, -2, -1])
         for _ in range(50):
             g = join(g, "a", path_graph([-1, -2, -2], ["x", "y", "z"]), "z")
-        assert len(calls) == 51
+        assert len(walks) == 51
         assert g.is_tree() and len(g.vertices) == 4 + 2 * 50
-        assert len(calls) == 51
+        assert len(walks) == 51
+
+    def test_join_hypotheses_walk_no_complement(self, walks):
+        # the complement of a vertex is read from the two lists without it,
+        # so the parse's walk is the only one, at an end and in the middle
+        g = parse_graph(SEED_PATH_TEXT)
+        for v in ("a", "b"):
+            check_join_hypotheses(g, v)
+        assert len(walks) == 1 and walks[0] is g
 
 
 class TestCycleFromWord:
@@ -607,6 +613,23 @@ class TestJoinHypotheses:
         # components (-1) and (-2,-1) both have nonsingular forms
         assert det(IntMatrix.from_rows([[-1]])) != 0
         assert det(IntMatrix.from_rows([[-2, 1], [1, -1]])) != 0
+
+
+class TestJoinHypothesesDoubling:
+    """``check_join_hypotheses`` is linear on -2 paths, at an end and in the
+    middle, and on stars, at the hub and at a leaf: the median ratio of 1600
+    to 800 path vertices, and of 800 to 400 star arms, stays under 2.5."""
+
+    @pytest.mark.parametrize("build, n, vertex", [
+        (minus_two_path, 800, lambda n: "v0"),
+        (minus_two_path, 800, lambda n: f"v{n // 2}"),
+        (star_graph, 400, lambda k: "h"),
+        (star_graph, 400, lambda k: "l0"),
+    ], ids=["path-end", "path-middle", "star-hub", "star-leaf"])
+    def test_doubling_ratio_under_2_5(self, build, n, vertex):
+        small, large = build(n), build(2 * n)
+        assert median_cpu_ratio(lambda: check_join_hypotheses(large, vertex(2 * n)),
+                                lambda: check_join_hypotheses(small, vertex(n))) < 2.5
 
 
 class TestTraceDeterminantIdentity:
