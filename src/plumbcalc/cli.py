@@ -6,9 +6,10 @@ stdout; ``error=too-large`` for an integer too long to print in decimal),
 2 usage error (diagnostic on stderr, courtesy of argparse).
 
 Every command is one row of :data:`COMMANDS`; :func:`build_parser` builds the
-whole argparse tree from that table.  Handlers reach the layers through the
-package namespace (``pc.<layer>.<name>``), which imports a layer on its
-first use, so a command loads only the layers its handler calls.
+argparse tree from that table, and :func:`main` builds only the part of it
+that its argv names.  Handlers reach the layers through the package
+namespace (``pc.<layer>.<name>``), which imports a layer on its first use,
+so a command loads only the layers its handler calls.
 """
 
 from __future__ import annotations
@@ -195,7 +196,11 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argparse tree of :data:`COMMANDS`, pruned to ``argv`` if given: every
+    top-level entry stays, but a group gets subcommands, and a row arguments
+    (``-h`` too), only if ``argv`` holds its exact name, as argparse chooses."""
+    named = (lambda token: True) if argv is None else set(argv).__contains__
     parser = argparse.ArgumentParser(
         prog="plumbcalc",
         description="Exact calculus for plumbed 3-manifolds and torus-bundle monodromies",
@@ -206,9 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     for path, help_text, arguments, handler in COMMANDS:
         group, _, name = path.rpartition(" ")
         if group not in subparsers:
-            group_parser = subparsers[""].add_parser(group, help=GROUPS[group])
-            subparsers[group] = group_parser.add_subparsers(dest=f"{group}_command", required=True)
-        p = subparsers[group].add_parser(name, help=help_text)
+            keep = named(group)
+            group_parser = subparsers[""].add_parser(group, help=GROUPS[group], add_help=keep)
+            subparsers[group] = group_parser.add_subparsers(
+                dest=f"{group}_command", required=True) if keep else None
+        if subparsers[group] is None:  # a pruned group
+            continue
+        p = subparsers[group].add_parser(name, help=help_text, add_help=named(name))
+        if not named(name):
+            continue
         for arg in arguments:
             arg_name, keywords = (arg, {}) if isinstance(arg, str) else arg
             p.add_argument(arg_name, **keywords)
@@ -217,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,6 +1,10 @@
-"""Domain error types shared by every module, and the token readers that
-every text format goes through: :func:`_ints` for integers, :func:`_parse_list`
-for comma lists and :func:`_keyword_lines` for the line formats."""
+"""Domain error types, the value base and the square test that every layer
+shares (``intmat`` exports :func:`is_perfect_square`), and the token readers
+that every text format goes through: :func:`_ints` for integers,
+:func:`_parse_list` for comma lists and :func:`_keyword_lines` for line formats."""
+
+from math import isqrt
+from operator import attrgetter
 
 __all__ = ["DomainError", "ContractError"]
 
@@ -19,6 +23,44 @@ class DomainError(ValueError):
 
 class ContractError(DomainError):
     """A runtime contract failed (code ``contract-*``); explicit, so ``-O`` keeps it."""
+
+
+class _Value:
+    """A frozen dataclass without the ``dataclasses`` import: the fields are the
+    class's annotations, set in ``__init__`` by ``object.__setattr__``; ``==``
+    (one class only), hash and repr read them, and assignment raises."""
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*fields)  # the field tuple in one C call; of one name, no tuple
+        cls._key = staticmethod(get if len(fields) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def is_perfect_square(n: int) -> bool:
+    """True iff ``n = s*s`` for some integer ``s`` (exact, no floats)."""
+    if n < 0:
+        return False
+    s = isqrt(n)
+    return s * s == n
 
 
 def _ints(tokens, code: str, detail: str) -> list[int]:

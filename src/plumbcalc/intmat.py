@@ -23,12 +23,11 @@ nonsingular A, gcd(D_(r-1), D_r), as the gcd d_1 ... d_(r-1) of all
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
-from .errors import DomainError, _ints
+from .errors import DomainError, _ints, _Value, is_perfect_square
 
 __all__ = [
     "IntMatrix",
@@ -47,23 +46,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Value):
     """Immutable integer matrix; entries stored row-major."""
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise DomainError("bad-shape", "matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise DomainError(
                 "bad-shape",
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}",
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}",
             )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -115,20 +115,23 @@ class IntMatrix:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Value):
     """Smith normal form with unimodular certificates: ``u @ a @ v == d``."""
 
     d: IntMatrix
     u: IntMatrix
     v: IntMatrix
 
+    def __init__(self, d: IntMatrix, u: IntMatrix, v: IntMatrix) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
 
 
-@dataclass(frozen=True)
-class AbelianGroupDesc:
+class AbelianGroupDesc(_Value):
     """A finitely generated abelian group: Z^free_rank plus cyclic factors.
 
     Torsion factors are >= 2 and form a divisibility chain, so the
@@ -138,14 +141,16 @@ class AbelianGroupDesc:
     free_rank: int
     torsion_factors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion_factors: tuple[int, ...]) -> None:
+        if free_rank < 0:
             raise DomainError("bad-group", "free rank must be nonnegative")
-        fs = self.torsion_factors
+        fs = torsion_factors
         if any(f < 2 for f in fs):
             raise DomainError("bad-group", "torsion factors must be >= 2")
         if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
             raise DomainError("bad-group", "torsion factors must form a divisor chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion_factors", torsion_factors)
 
     @property
     def torsion_order(self) -> int:
@@ -606,14 +611,6 @@ def signature(m: IntMatrix) -> int:
     if not m.is_square:
         raise DomainError("non-square", "signature needs a square matrix")
     return _det_signature(m)[1]
-
-
-def is_perfect_square(n: int) -> bool:
-    """True iff ``n = s*s`` for some integer ``s`` (exact, no floats)."""
-    if n < 0:
-        return False
-    s = isqrt(n)
-    return s * s == n
 
 
 _MAX_DIMENSION = 10**6  # largest dimension parse_matrix_text reads

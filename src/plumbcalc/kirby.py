@@ -14,9 +14,9 @@ conjugator, letting longer procedures certify their result as
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .errors import ContractError, DomainError, _format_list, _ints, _keyword_lines, _parse_list
+from .errors import (ContractError, DomainError, _format_list, _ints, _keyword_lines,
+                     _parse_list, _Value)
 from .sl2 import SL2Element, _framed_word, rotation_equivalent, word_to_matrix
 from .strings import _split_family
 
@@ -35,19 +35,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(_Value):
     """Cyclic framed chain (f_1, ..., f_n) with overall sign eps."""
 
     framings: tuple[int, ...]
-    eps: int = 1
+    eps: int
 
-    def __post_init__(self) -> None:
-        if len(self.framings) < 1:
+    def __init__(self, framings, eps: int = 1) -> None:
+        if len(framings) < 1:
             raise DomainError("empty-chain", "a chain needs at least one component")
-        if self.eps not in (1, -1):
+        if eps not in (1, -1):
             raise DomainError("bad-sign", "eps must be +1 or -1")
-        object.__setattr__(self, "framings", tuple(map(int, self.framings)))
+        object.__setattr__(self, "framings", tuple(map(int, framings)))
+        object.__setattr__(self, "eps", eps)
 
 
 def chain_monodromy(c: ChainState) -> SL2Element:
@@ -143,8 +143,7 @@ def chains_rotation_equal(a: ChainState, b: ChainState) -> bool:
     return a.eps == b.eps and rotation_equivalent(a.framings, b.framings)
 
 
-@dataclass(frozen=True)
-class DualizeResult:
+class DualizeResult(_Value):
     """Outcome of the dualization procedure with its exact certificate."""
 
     start: ChainState
@@ -152,6 +151,14 @@ class DualizeResult:
     conjugator: SL2Element
     blow_ups: int
     blow_downs: int
+
+    def __init__(self, start: ChainState, terminal: ChainState, conjugator: SL2Element,
+                 blow_ups: int, blow_downs: int) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "conjugator", conjugator)
+        object.__setattr__(self, "blow_ups", blow_ups)
+        object.__setattr__(self, "blow_downs", blow_downs)
 
     def certified(self) -> bool:
         """Recheck the certificate from scratch:

@@ -22,14 +22,12 @@ verdicts; only the returned entry gets a descriptor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import plumbcalc as pc
 
-from .errors import _SIGNS, DomainError, _ints, _keyword_lines
-from .intmat import AbelianGroupDesc, det, is_perfect_square
+from .errors import _SIGNS, DomainError, _ints, _keyword_lines, _Value, is_perfect_square
 from .sl2 import (
     MonodromyWord,
     _framed_word,
@@ -40,7 +38,7 @@ from .sl2 import (
 )
 from .strings import format_int_string, recognize_family
 
-if TYPE_CHECKING:  # a word descriptor never loads plumbing: its users reach it as pc.plumbing
+if TYPE_CHECKING:  # a word descriptor loads neither: their users reach them as pc.<layer>
     from .plumbing import PlumbingGraph
 
 __all__ = [
@@ -61,11 +59,15 @@ STATUS_OBSTRUCTED = "obstructed"
 STATUS_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(_Value):
     descriptor: str
     status: str
     reason: str
+
+    def __init__(self, descriptor: str, status: str, reason: str) -> None:
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
 
 
 def _word_descriptor(w: MonodromyWord) -> str:
@@ -102,7 +104,7 @@ def _graph_verdict(g: PlumbingGraph) -> tuple[str, str]:
         # pure cycle: defer to the word-level rules via the traversal word
         return _word_verdict(_framed_word(*pc.plumbing.cycle_traversal(g)))
     homology = pc.plumbing.boundary_homology(g)
-    if homology == AbelianGroupDesc(1, ()) and g.is_tree():
+    if homology == pc.intmat.AbelianGroupDesc(1, ()) and g.is_tree():
         return STATUS_BOUNDS, "s1xs2-base(homology-level)"
     return _square_fallback(homology.torsion_order)
 
@@ -117,16 +119,21 @@ def evaluate_graph(g: PlumbingGraph) -> LedgerEntry:
     return LedgerEntry(_graph_descriptor(g), *_graph_verdict(g))
 
 
-@dataclass
-class Construction:
+class Construction(_Value):
     """An explicit build history: seed trees combined by joins/self-joins.
 
     Steps are recorded in order; evaluation is pure and walks the history
     bottom-up, so re-evaluating after appending steps never changes earlier
-    verdicts.
+    verdicts.  The one mutable record: it has no hash, and takes assignments.
     """
 
-    _steps: dict[str, tuple[PlumbingGraph, tuple]] = field(default_factory=dict)
+    _steps: dict[str, tuple[PlumbingGraph, tuple]]
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, _steps: dict[str, tuple[PlumbingGraph, tuple]] | None = None) -> None:
+        self._steps = {} if _steps is None else _steps
 
     def _record(self, name: str, graph: PlumbingGraph, step: tuple) -> None:
         if name in self._steps:
@@ -188,7 +195,7 @@ class Construction:
         if step[0] == "selfjoin":
             src_status, src_reason = yield step[1]
             if src_status == STATUS_BOUNDS:
-                q_det = det(pc.plumbing.intersection_form(graph))
+                q_det = pc.intmat.det(pc.plumbing.intersection_form(graph))
                 if q_det != 0:
                     return STATUS_BOUNDS, f"self-join-nonsingular(det={q_det})<-{src_reason}"
         elif step[0] == "join":

@@ -9,17 +9,14 @@ signature of an even unimodular presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .errors import ContractError, DomainError
-from .intmat import (
-    AbelianGroupDesc,
-    IntMatrix,
-    _det_signature,
-    abelian_group_of,
-    is_perfect_square,
-    rank,
-)
+import plumbcalc as pc
+
+from .errors import ContractError, DomainError, _Value, is_perfect_square
+
+if TYPE_CHECKING:  # obstruct square never loads intmat: the others reach it as pc.intmat
+    from .intmat import AbelianGroupDesc, IntMatrix
 
 __all__ = [
     "SurgeryPresentation",
@@ -41,31 +38,31 @@ ATTACHMENT_PROVENANCE = (
 )
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class SurgeryPresentation(_Value):
     """Integer surgery presentation of a 3-manifold by its linking matrix."""
 
     linking: IntMatrix
 
-    def __post_init__(self) -> None:
-        if not self.linking.is_symmetric:
+    def __init__(self, linking: IntMatrix) -> None:
+        if not linking.is_symmetric:
             raise DomainError("non-symmetric", "a linking matrix must be symmetric")
+        object.__setattr__(self, "linking", linking)
 
     @property
     def homology(self) -> AbelianGroupDesc:
-        return abelian_group_of(self.linking)
+        return pc.intmat.abelian_group_of(self.linking)
 
 
-@dataclass(frozen=True)
-class KnotClass:
+class KnotClass(_Value):
     """A knot's homology class: its linking numbers with the surgery
     components, plus the framing of the handle to attach along it."""
 
     kappa: tuple[int, ...]
     framing: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", tuple(map(int, self.kappa)))
+    def __init__(self, kappa, framing: int) -> None:
+        object.__setattr__(self, "kappa", tuple(map(int, kappa)))
+        object.__setattr__(self, "framing", framing)
 
 
 def has_infinite_order(p: SurgeryPresentation, k: KnotClass) -> bool:
@@ -78,8 +75,8 @@ def has_infinite_order(p: SurgeryPresentation, k: KnotClass) -> bool:
             f"{p.linking.rows}-component presentation",
         )
     l = p.linking
-    augmented = IntMatrix.from_rows([row + [k.kappa[i]] for i, row in enumerate(l.to_rows())])
-    return rank(augmented) > rank(l)
+    rows = [row + [k.kappa[i]] for i, row in enumerate(l.to_rows())]
+    return pc.intmat.rank(pc.intmat.IntMatrix.from_rows(rows)) > pc.intmat.rank(l)
 
 
 def attach_two_handle(
@@ -96,8 +93,7 @@ def attach_two_handle(
     rows = p.linking.to_rows()
     bordered = [row + [k.kappa[i]] for i, row in enumerate(rows)]
     bordered.append(list(k.kappa) + [k.framing])
-    new_linking = IntMatrix.from_rows(bordered)
-    new_p = SurgeryPresentation(new_linking)
+    new_p = SurgeryPresentation(pc.intmat.IntMatrix.from_rows(bordered))
     before = p.homology
     after = new_p.homology
     if after.free_rank != before.free_rank - 1:
@@ -119,7 +115,7 @@ def rohlin_mu(m: IntMatrix) -> int:
     |det| = 1 (the signature of such a form is divisible by 8)."""
     if any(x % 2 for x in m.diagonal()) and m.is_symmetric:  # else non-symmetric comes first
         raise DomainError("odd-diagonal", "the form must be even (all diagonal entries even)")
-    d, sigma = _det_signature(m)  # checks symmetry before it eliminates
+    d, sigma = pc.intmat._det_signature(m)  # checks symmetry before it eliminates
     if abs(d) != 1:
         raise DomainError("determinant-not-unit", "the presentation must be unimodular")
     residue = sigma % 16

@@ -13,10 +13,9 @@ over the cycle, scaled by the product of edge signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import _SIGNS, DomainError, _ints, _keyword_lines
+from .errors import _SIGNS, DomainError, _ints, _keyword_lines, _Value
 from .intmat import AbelianGroupDesc, IntMatrix, _unit_core, abelian_group_of
 from .sl2 import MonodromyWord, SL2Element, _framed_word, lex_min_rotation, word_to_matrix
 
@@ -38,22 +37,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
-    """Weighted graph with signed edges; immutable after construction."""
+class PlumbingGraph(_Value):
+    """Weighted graph with signed edges; immutable after construction.  Its
+    instance ``__dict__`` also holds the cached ``_walk``."""
 
     vertices: tuple[tuple[str, int], ...]        # (name, weight) in declaration order
     edges: tuple[tuple[str, str, int], ...]      # (u, v, sign) with sign in {+1, -1}
 
-    def __post_init__(self) -> None:
-        names = {n for n, _ in self.vertices}
-        if len(names) != len(self.vertices):
+    def __init__(self, vertices, edges) -> None:
+        names = {n for n, _ in vertices}
+        if len(names) != len(vertices):
             raise DomainError("duplicate-vertex", "vertex names must be unique")
-        for u, v, s in self.edges:
+        for u, v, s in edges:
             if u not in names or v not in names:
                 raise DomainError("dangling-edge", f"edge ({u},{v}) references a missing vertex")
             if s not in (1, -1):
                 raise DomainError("bad-edge-sign", "edge signs must be +1 or -1")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -362,8 +363,7 @@ def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
     return _identify(g.vertices, edges, v1, v2, (1, ((v1, path[0][1]), *path[1:])))
 
 
-@dataclass(frozen=True)
-class JoinHypotheses:
+class JoinHypotheses(_Value):
     """Homology-level hypotheses for transferring a bounding certificate
     through a join: the boundary must look like S^1 x S^2 integrally, and the
     complement of the distinguished vertex must have rational-sphere
@@ -371,6 +371,10 @@ class JoinHypotheses:
 
     boundary_is_s1xs2: bool
     complement_is_qs3: bool
+
+    def __init__(self, boundary_is_s1xs2: bool, complement_is_qs3: bool) -> None:
+        object.__setattr__(self, "boundary_is_s1xs2", boundary_is_s1xs2)
+        object.__setattr__(self, "complement_is_qs3", complement_is_qs3)
 
     @property
     def all_pass(self) -> bool:

@@ -9,12 +9,9 @@ formulas downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-import plumbcalc as pc
-
-from .errors import DomainError, _format_list, _parse_list
+from .errors import DomainError, _format_list, _parse_list, _Value, is_perfect_square
 
 __all__ = [
     "SL2Element",
@@ -32,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SL2Element:
+class SL2Element(_Value):
     """An element of SL(2,Z); the determinant is enforced at construction."""
 
     a: int
@@ -41,9 +37,13 @@ class SL2Element:
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        if a * d - b * c != 1:
             raise DomainError("not-unimodular", "ad - bc must equal 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "SL2Element":
@@ -71,17 +71,17 @@ class SL2Element:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
-@dataclass(frozen=True)
-class MonodromyWord:
+class MonodromyWord(_Value):
     """Word (a_1, ..., a_n) plus gluing sign; empty word encodes sign * I."""
 
     coeffs: tuple[int, ...]
-    sign: int = 1
+    sign: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, coeffs, sign: int = 1) -> None:
+        if sign not in (1, -1):
             raise DomainError("bad-sign", "sign must be +1 or -1")
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
+        object.__setattr__(self, "sign", sign)
 
 
 def word_to_matrix(w: MonodromyWord) -> SL2Element:
@@ -155,7 +155,7 @@ def square_trace_check(m: SL2Element) -> tuple[int, bool]:
     if abs(t) <= 2:
         raise DomainError("not-hyperbolic", "square-trace check needs |tr| > 2")
     value = t * t - 4
-    return value, pc.intmat.is_perfect_square(value)
+    return value, is_perfect_square(value)
 
 
 def _least_rotation(s: tuple) -> int:

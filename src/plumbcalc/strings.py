@@ -10,9 +10,7 @@ decrementing its two ends, is dual to the second segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ContractError, DomainError, _format_list, _ints, _parse_list
+from .errors import ContractError, DomainError, _format_list, _ints, _parse_list, _Value
 from .sl2 import MonodromyWord, word_to_matrix
 
 __all__ = [
@@ -28,23 +26,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Value):
     """Parameters (k; x_1, ..., x_{2k+1}) of a family string."""
 
     k: int
     xs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
+    def __init__(self, k: int, xs: tuple[int, ...]) -> None:
+        if k < 0:
             raise DomainError("bad-family-params", "k must be nonnegative")
-        if len(self.xs) != 2 * self.k + 1:
+        if len(xs) != 2 * k + 1:
             raise DomainError(
-                "bad-family-params",
-                f"need 2k+1 = {2 * self.k + 1} values, got {len(self.xs)}",
+                "bad-family-params", f"need 2k+1 = {2 * k + 1} values, got {len(xs)}"
             )
-        if any(x < 0 for x in self.xs):
+        if any(x < 0 for x in xs):
             raise DomainError("bad-family-params", "x_i must be nonnegative")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "xs", xs)
 
 
 _MAX_ENTRIES = 10**6  # longest string that dual_string and family_string build

@@ -441,6 +441,98 @@ def test_parser_builds():
     assert build_parser().prog == "plumbcalc"
 
 
+def _parse(parser, argv):
+    """``parser.parse_args(argv)`` as (namespace dict or exit code, stdout, stderr)."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestPrunedParser:
+    """``build_parser(argv)`` parses ``argv`` as the full tree does: the same
+    namespace, or the same exit code, stdout and stderr."""
+
+    # misspelt commands and groups, missing arguments, -h at each level,
+    # options before the command and -- before negative values
+    EXPLICIT = [
+        [], ["dul", "2"], ["plum", "homology", "x"], ["plumb", "homolgy", "x"], ["plumb"],
+        ["plumb", "homology"], ["mono"], ["obstruct", "attach", "m.mat"], ["-h"],
+        ["-h", "dual"], ["--help", "plumb", "join"], ["plumb", "-h"], ["plumb", "join", "-h"],
+        ["ledger", "eval", "--", "-T^5"], ["ledger", "eval", "-T^5"],
+        ["obstruct", "square", "--", "-3"], ["obstruct", "square", "-3"], ["mono", "--", "-3,2"],
+        ["--classify", "mono", "3"], ["mono", "3", "--classify", "--torsion"],
+        ["mat", "det", "a", "b"], ["family", "gen", "k=1;x=0,0,0", "--help"],
+        ["plumb", "selfjoin", "g", "--v1", "a", "--v2", "b", "--sign", "x"],
+        ["obstruct", "square", "three"], ["mono", "mat"], ["family", "check", "plumb", "join"],
+    ]
+
+    @staticmethod
+    def sample(count, seed):
+        """``count`` argvs drawn from the command table's own tokens, their
+        misspellings and the argument values the commands take."""
+        import random
+
+        from plumbcalc.cli import COMMANDS
+
+        rng = random.Random(seed)
+        paths = [row[0].split() for row in COMMANDS]
+        words = sorted({word for path in paths for word in path})
+        options = sorted({arg[0] for row in COMMANDS for arg in row[2]
+                          if not isinstance(arg, str) and arg[0].startswith("-")})
+        values = ["-h", "--help", "--", "-3", "3", "+", "-", "-T^5", "word:2,2,3", "a.mat"]
+        pool = words + [w[:-1] for w in words] + options + values
+        argvs = []
+        for _ in range(count):
+            argv = [rng.choice(["-h", "--help", "--torsion"])] if rng.random() < 0.1 else []
+            path = list(rng.choice(paths))
+            if rng.random() < 0.2:
+                i = rng.randrange(len(path))
+                path[i] = path[i][:-1]
+            argv += path[:rng.randint(0, len(path))] if rng.random() < 0.2 else path
+            argv += rng.choices(pool if rng.random() < 0.5 else values[2:], k=rng.randint(0, 4))
+            argvs.append(argv)
+        return argvs
+
+    def test_same_parse(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cases = [case["argv"] for case in GOLDEN_HELP + GOLDEN_LONG]
+        cases += self.EXPLICIT + self.sample(600, 26)
+        full = build_parser()
+        exits = set()
+        for argv in cases:
+            expected = _parse(full, argv)
+            assert _parse(build_parser(argv), argv) == expected, argv
+            exits.add(expected[0] if isinstance(expected[0], int) else "parsed")
+        assert exits == {0, 2, "parsed"}
+
+    def test_builds_only_what_argv_names(self):
+        import argparse
+
+        from plumbcalc.cli import COMMANDS, GROUPS
+
+        def tree(parser):
+            """prog -> action count, for each parser of the tree under ``parser``."""
+            counts = {parser.prog: len(parser._actions)}
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        counts.update(tree(sub))
+            return counts
+
+        assert len(tree(build_parser())) == 1 + len(GROUPS) + len(COMMANDS)
+        pruned = tree(build_parser(["plumb", "homology", "x"]))
+        assert len(pruned) == 1 + 8 + 5  # the root, every top-level entry, plumb's rows
+        built = {prog for prog, count in pruned.items() if count}
+        assert built == {"plumbcalc", "plumbcalc plumb", "plumbcalc plumb homology"}
+
+
 def test_module_entry_point_subprocess():
     import subprocess
     import sys
@@ -693,13 +785,15 @@ def _child(argv, cwd):
 
 class TestImportSets:
     """A launch imports only the layers its command uses: the exact set of
-    ``plumbcalc.*`` modules loaded, in a fresh interpreter."""
+    ``plumbcalc.*`` modules loaded, in a fresh interpreter, and none of
+    ``HEAVY``."""
 
     LOADED = (
         "print(*sorted(m.partition('.')[2] for m in sys.modules if m.startswith('plumbcalc.')))"
     )
+    HEAVY = ("dataclasses", "inspect")
     # run ``python -m plumbcalc <argv>`` in-process, then print its exit
-    # code and the loaded ``plumbcalc.*`` modules
+    # code, the loaded ``plumbcalc.*`` modules and the loaded ``HEAVY`` ones
     PROBE = (
         "import contextlib, io, runpy, sys\n"
         "sys.argv = ['plumbcalc', *sys.argv[1:]]\n"
@@ -708,19 +802,20 @@ class TestImportSets:
         "        runpy.run_module('plumbcalc', run_name='__main__')\n"
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
-        "print(code)\n" + LOADED
+        "print(code)\n" + LOADED + f"\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
     )
     BASE = {"cli", "errors"}
     CASES = {
         "--help": (["--help"], BASE),
         "mono": (["mono", "3", "--torsion"], BASE | {"sl2"}),
+        "mono square-check": (["mono", "3", "--square-check"], BASE | {"sl2"}),
         "dual": (["dual", "2,2,2"], BASE | {"sl2", "strings"}),
         "family check": (["family", "check", "3,3,3"], BASE | {"sl2", "strings"}),
         "kirby dualize": (["kirby", "dualize", "3,3,3"], BASE | {"sl2", "strings", "kirby"}),
-        "obstruct square": (["obstruct", "square", "3"], BASE | {"intmat", "obstruct"}),
+        "obstruct square": (["obstruct", "square", "3"], BASE | {"obstruct"}),
         "mat det": (["mat", "det", "m.mat"], BASE | {"intmat"}),
         "plumb homology": (["plumb", "homology", "seed.graph"], BASE | {"intmat", "plumbing", "sl2"}),
-        "ledger eval": (["ledger", "eval", "word:2,2,3"], BASE | {"intmat", "ledger", "sl2", "strings"}),
+        "ledger eval": (["ledger", "eval", "word:2,2,3"], BASE | {"ledger", "sl2", "strings"}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -729,7 +824,8 @@ class TestImportSets:
         (tmp_path / "seed.graph").write_text(SEED_PATH_TEXT)
         argv, layers = self.CASES[case]
         result = _child(["-c", self.PROBE, *argv], tmp_path)
-        assert result.stdout.split() == ["0", *sorted(layers)]
+        code, loaded, heavy = result.stdout.split("\n")[:3]
+        assert (code, loaded.split(), heavy) == ("0", sorted(layers), "")
 
     @pytest.mark.parametrize("code, layers", [
         ("import plumbcalc", []),

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import plumbcalc
+import plumbcalc.intmat as intmat
 import plumbcalc.obstruct as obstruct
 import plumbcalc.strings as strings
 from plumbcalc.cli import main
@@ -58,7 +59,7 @@ ROWS = [
      (strings, "dual_string", lambda b: b)),
     # an even unimodular form whose signature reads 4
     ("contract-rohlin", lambda: obstruct.rohlin_mu(IntMatrix.from_rows([[0, 1], [1, 0]])),
-     (obstruct, "_det_signature", lambda m: (1, 4))),
+     (intmat, "_det_signature", lambda m: (1, 4))),
     ("duplicate-name", ["ledger", "eval", "build:twice.build"], None),
     ("duplicate-vertex", ["plumb", "homology", "dup.graph"], None),
     ("empty-chain", lambda: ChainState(()), None),

@@ -207,12 +207,11 @@ class TestRohlinMu:
 
 class TestContracts:
     def test_free_rank_contract_reports_error_code(self, capsys, monkeypatch, tmp_path):
-        import plumbcalc.obstruct as obstruct_module
         from plumbcalc.cli import main
         from plumbcalc.errors import ContractError
 
         # a homology computation that misses the drop in free rank
-        monkeypatch.setattr(obstruct_module, "abelian_group_of", lambda m: AbelianGroupDesc(1, ()))
+        monkeypatch.setattr(intmat, "abelian_group_of", lambda m: AbelianGroupDesc(1, ()))
         p = presentation([[0]])
         with pytest.raises(ContractError) as err:
             attach_two_handle(p, KnotClass((2,), 1))
