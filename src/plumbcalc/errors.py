@@ -27,8 +27,9 @@ class ContractError(DomainError):
 
 class _Value:
     """A frozen dataclass without the ``dataclasses`` import: the fields are the
-    class's annotations, set in ``__init__`` by ``object.__setattr__``; ``==``
-    (one class only), hash and repr read them, and assignment raises."""
+    class's annotations, and each ``__init__`` fills the instance ``__dict__``
+    with them in one ``update``; ``==`` (one class only), hash and repr read
+    them, and ``__setattr__`` and ``__delattr__`` raise."""
 
     def __init_subclass__(cls) -> None:
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))

@@ -61,9 +61,7 @@ class IntMatrix(_Value):
                 "bad-shape",
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}",
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -123,9 +121,7 @@ class SNFResult(_Value):
     v: IntMatrix
 
     def __init__(self, d: IntMatrix, u: IntMatrix, v: IntMatrix) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        self.__dict__.update(d=d, u=u, v=v)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
@@ -149,8 +145,7 @@ class AbelianGroupDesc(_Value):
             raise DomainError("bad-group", "torsion factors must be >= 2")
         if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
             raise DomainError("bad-group", "torsion factors must form a divisor chain")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion_factors", torsion_factors)
+        self.__dict__.update(free_rank=free_rank, torsion_factors=torsion_factors)
 
     @property
     def torsion_order(self) -> int:

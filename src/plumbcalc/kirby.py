@@ -46,8 +46,7 @@ class ChainState(_Value):
             raise DomainError("empty-chain", "a chain needs at least one component")
         if eps not in (1, -1):
             raise DomainError("bad-sign", "eps must be +1 or -1")
-        object.__setattr__(self, "framings", tuple(map(int, framings)))
-        object.__setattr__(self, "eps", eps)
+        self.__dict__.update(framings=tuple(map(int, framings)), eps=eps)
 
 
 def chain_monodromy(c: ChainState) -> SL2Element:
@@ -154,11 +153,8 @@ class DualizeResult(_Value):
 
     def __init__(self, start: ChainState, terminal: ChainState, conjugator: SL2Element,
                  blow_ups: int, blow_downs: int) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "terminal", terminal)
-        object.__setattr__(self, "conjugator", conjugator)
-        object.__setattr__(self, "blow_ups", blow_ups)
-        object.__setattr__(self, "blow_downs", blow_downs)
+        self.__dict__.update(start=start, terminal=terminal, conjugator=conjugator,
+                             blow_ups=blow_ups, blow_downs=blow_downs)
 
     def certified(self) -> bool:
         """Recheck the certificate from scratch:

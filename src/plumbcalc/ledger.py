@@ -65,9 +65,7 @@ class LedgerEntry(_Value):
     reason: str
 
     def __init__(self, descriptor: str, status: str, reason: str) -> None:
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "reason", reason)
+        self.__dict__.update(descriptor=descriptor, status=status, reason=reason)
 
 
 def _word_descriptor(w: MonodromyWord) -> str:

@@ -46,7 +46,7 @@ class SurgeryPresentation(_Value):
     def __init__(self, linking: IntMatrix) -> None:
         if not linking.is_symmetric:
             raise DomainError("non-symmetric", "a linking matrix must be symmetric")
-        object.__setattr__(self, "linking", linking)
+        self.__dict__.update(linking=linking)
 
     @property
     def homology(self) -> AbelianGroupDesc:
@@ -61,8 +61,7 @@ class KnotClass(_Value):
     framing: int
 
     def __init__(self, kappa, framing: int) -> None:
-        object.__setattr__(self, "kappa", tuple(map(int, kappa)))
-        object.__setattr__(self, "framing", framing)
+        self.__dict__.update(kappa=tuple(map(int, kappa)), framing=framing)
 
 
 def has_infinite_order(p: SurgeryPresentation, k: KnotClass) -> bool:

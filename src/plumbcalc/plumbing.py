@@ -39,7 +39,8 @@ __all__ = [
 
 class PlumbingGraph(_Value):
     """Weighted graph with signed edges; immutable after construction.  Its
-    instance ``__dict__`` also holds the cached ``_walk``."""
+    instance ``__dict__`` holds the fields and the cached ``_walk``; ``==``,
+    hash and repr read only the ``_fields``."""
 
     vertices: tuple[tuple[str, int], ...]        # (name, weight) in declaration order
     edges: tuple[tuple[str, str, int], ...]      # (u, v, sign) with sign in {+1, -1}
@@ -53,8 +54,7 @@ class PlumbingGraph(_Value):
                 raise DomainError("dangling-edge", f"edge ({u},{v}) references a missing vertex")
             if s not in (1, -1):
                 raise DomainError("bad-edge-sign", "edge signs must be +1 or -1")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+        self.__dict__.update(vertices=vertices, edges=edges)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -373,8 +373,8 @@ class JoinHypotheses(_Value):
     complement_is_qs3: bool
 
     def __init__(self, boundary_is_s1xs2: bool, complement_is_qs3: bool) -> None:
-        object.__setattr__(self, "boundary_is_s1xs2", boundary_is_s1xs2)
-        object.__setattr__(self, "complement_is_qs3", complement_is_qs3)
+        self.__dict__.update(boundary_is_s1xs2=boundary_is_s1xs2,
+                             complement_is_qs3=complement_is_qs3)
 
     @property
     def all_pass(self) -> bool:

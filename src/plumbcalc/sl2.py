@@ -40,10 +40,7 @@ class SL2Element(_Value):
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
         if a * d - b * c != 1:
             raise DomainError("not-unimodular", "ad - bc must equal 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @classmethod
     def identity(cls) -> "SL2Element":
@@ -80,8 +77,7 @@ class MonodromyWord(_Value):
     def __init__(self, coeffs, sign: int = 1) -> None:
         if sign not in (1, -1):
             raise DomainError("bad-sign", "sign must be +1 or -1")
-        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
-        object.__setattr__(self, "sign", sign)
+        self.__dict__.update(coeffs=tuple(map(int, coeffs)), sign=sign)
 
 
 def word_to_matrix(w: MonodromyWord) -> SL2Element:

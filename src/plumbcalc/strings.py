@@ -41,8 +41,7 @@ class FamilyParams(_Value):
             )
         if any(x < 0 for x in xs):
             raise DomainError("bad-family-params", "x_i must be nonnegative")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "xs", xs)
+        self.__dict__.update(k=k, xs=xs)
 
 
 _MAX_ENTRIES = 10**6  # longest string that dual_string and family_string build

@@ -10,7 +10,7 @@ from plumbcalc.intmat import AbelianGroupDesc, IntMatrix, SNFResult
 from plumbcalc.kirby import ChainState, DualizeResult
 from plumbcalc.ledger import Construction, LedgerEntry
 from plumbcalc.obstruct import KnotClass, SurgeryPresentation
-from plumbcalc.plumbing import JoinHypotheses, PlumbingGraph
+from plumbcalc.plumbing import JoinHypotheses, PlumbingGraph, join, parse_graph, self_join
 from plumbcalc.sl2 import MonodromyWord, SL2Element
 from plumbcalc.strings import FamilyParams
 
@@ -103,6 +103,32 @@ class TestEveryFrozenValueClass:
             with pytest.raises(AttributeError):
                 delattr(x, name)
         assert x == cls(**fields)
+
+    def test_instance_dict_is_the_fields(self, cls, fields, other, text):
+        assert list(vars(cls(**fields))) == list(fields)
+
+
+PATH3 = PlumbingGraph((("a", -1), ("b", -2), ("c", -2)), (("a", "b", 1), ("b", "c", 1)))
+
+
+def _walked(g):
+    g.is_tree()
+    return g
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _walked(PlumbingGraph(PATH3.vertices, PATH3.edges)),
+    lambda: join(PATH3, "b", PATH3, "a"),
+    lambda: self_join(PATH3, "a", "c", -1),
+    lambda: parse_graph("vertex a -3\nvertex b -3\nvertex c -3\n"
+                        "edge a b -\nedge b c -\nedge c a +\n"),
+], ids=["is-tree", "join", "self-join", "normalized-cycle"])
+def test_cached_walk_is_not_part_of_the_value(make):
+    g = make()
+    assert "_walk" in vars(g)
+    bare = PlumbingGraph(g.vertices, g.edges)
+    assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+    assert "_walk" not in repr(g)
 
 
 @pytest.mark.parametrize("make, full", [
