@@ -14,11 +14,11 @@ certificates takes +-1 pivots while any is left, and row Hermite forms
 kept reduced, the sides alternating, on what they leave; Bezout steps make
 the diagonal a divisor chain.  Without certificates, a large sparse
 symmetric input first loses its +-1 pivots to ``_unit_core``; then A of
-rank r is reduced modulo M, every entry kept below M, where the Bareiss
-pass's last minors give an M that the factors needed divide: on a square
-nonsingular A, gcd(D_(r-1), D_r), as the gcd d_1 ... d_(r-1) of all
-(r-1)-minors divides both, and d_r = |D_r| / (d_1 ... d_(r-1)); else
-|D_r|, which d_1 ... d_r divides.
+rank r is reduced modulo M by extended-gcd sweeps alone, every entry kept
+below M, where the Bareiss pass's last minors give an M that the factors
+needed divide: on a square nonsingular A, gcd(D_(r-1), D_r), as the gcd
+d_1 ... d_(r-1) of all (r-1)-minors divides both, and d_r = |D_r| /
+(d_1 ... d_(r-1)); else |D_r|, which d_1 ... d_r divides.
 """
 
 from __future__ import annotations
@@ -447,20 +447,13 @@ def _smith(m: IntMatrix):
 
 def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
     """Invariant factors over Z/d (``d > 0``) of ``a``, of any shape, each as
-    ``gcd(f, d)``, by elimination over Z/d (Cohen, GTM 138, Alg. 2.4.14).  A
-    unit in the pivot column clears it with one multiply per entry and
-    gives the factor 1; otherwise extended-gcd row sweeps alternate with
-    transposes (which keep the factors) until the pivot ``p`` divides its
-    row and column, and it gives ``gcd(p, d)``.  Entries stay below d."""
+    ``gcd(f, d)``, by elimination over Z/d (Cohen, GTM 138, Alg. 2.4.14).
+    Each step is one kind: extended-gcd row sweeps alternate with transposes
+    (which keep the factors) until the pivot ``p`` divides its row and
+    column, and it gives ``gcd(p, d)``.  A column holding a unit mod d
+    gives 1, as its gcd divides that unit.  Entries stay below d."""
     a, fs = [[x % d for x in row] for row in a], []
     while a and a[0]:
-        i = next((i for i, row in enumerate(a) if gcd(row[0], d) == 1), -1)
-        if i >= 0:  # a unit pivot: scale it to 1, clear its column, factor 1
-            inv = pow(a[i][0], -1, d)
-            rt = [x * inv % d for x in a.pop(i)[1:]]
-            a = [[(x - r[0] * y) % d for x, y in zip(r[1:], rt)] if r[0] else r[1:] for r in a]
-            fs.append(1)
-            continue
         while True:
             rt = a[0]
             for i in range(1, len(a)):

@@ -192,10 +192,8 @@ class Construction(_Value):
         graph, step = self._steps[name]
         if step[0] == "selfjoin":
             src_status, src_reason = yield step[1]
-            if src_status == STATUS_BOUNDS:
-                q_det = pc.intmat.det(pc.plumbing.intersection_form(graph))
-                if q_det != 0:
-                    return STATUS_BOUNDS, f"self-join-nonsingular(det={q_det})<-{src_reason}"
+            if src_status == STATUS_BOUNDS and (q_det := pc.plumbing._form_det(graph)):
+                return STATUS_BOUNDS, f"self-join-nonsingular(det={q_det})<-{src_reason}"
         elif step[0] == "join":
             _, left, v1, right, v2 = step
             for pivot, pivot_v, other in ((left, v1, right), (right, v2, left)):

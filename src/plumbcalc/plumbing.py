@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import _SIGNS, DomainError, _ints, _keyword_lines, _Value
-from .intmat import AbelianGroupDesc, IntMatrix, _unit_core, abelian_group_of
+from .intmat import AbelianGroupDesc, IntMatrix, _sparse_minors, _unit_core, abelian_group_of
 from .sl2 import MonodromyWord, SL2Element, _framed_word, lex_min_rotation, word_to_matrix
 
 __all__ = [
@@ -201,6 +201,13 @@ def _form_rows(vertices, edges) -> list[dict[int, int]]:
         rows[i][j] = rows[i].get(j, 0) + s
         rows[j][i] = rows[j].get(i, 0) + s
     return [{c: x for c, x in r.items() if x} if 0 in r.values() else r for r in rows]
+
+
+def _form_det(g: PlumbingGraph) -> int:
+    """det Q from Q's nonzeros alone: the last minor of ``_sparse_minors``,
+    whose pivot order is a symmetric permutation, so the sign is det's."""
+    minors = _sparse_minors(_form_rows(g.vertices, g.edges))
+    return minors[-1] if len(minors) > len(g.vertices) else 0
 
 
 def intersection_form(g: PlumbingGraph) -> IntMatrix:

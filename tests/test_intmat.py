@@ -569,6 +569,22 @@ class TestModularSmith:
                 if det(m):
                     assert intmat._smith_mod(m.to_rows(), abs(det(m))) == smith_diagonal(m)
 
+    def test_helper_is_snf_modulo_every_small_d(self):
+        """Over Z/d the helper's factors are gcd(f, d) for the factors f of
+        :func:`snf`, for every d in 2..64, on seeded matrices of 0-5 rows and
+        columns with entries -20..20 and some zero rows.  Many pivot columns
+        hold units mod d other than +-1, which the gcd sweeps must take to 1."""
+        rng, units = random.Random(2028), 0
+        for _ in range(400):
+            nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+            a = [[0] * nc if rng.random() < 0.2 else [rng.randint(-20, 20) for _ in range(nc)]
+                 for _ in range(nr)]
+            factors = snf(IntMatrix(nr, nc, tuple(x for r in a for x in r))).diagonal()
+            for d in range(2, 65):
+                assert intmat._smith_mod(a, d) == tuple(gcd(f, d) for f in factors), (a, d)
+                units += any(gcd(x, d) == 1 and x % d not in (1, d - 1) for r in a for x in r)
+        assert units > 10000  # of the 400 * 63 checks
+
     def test_unit_minor_takes_no_modular_pass(self, monkeypatch):
         """A Bareiss minor of +-1 makes every factor 1 with no elimination:
         on E8 + H and on a 6x6 that ``attach_two_handle`` borders (det -1)."""

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from plumbcalc.ledger import (
     STATUS_OBSTRUCTED,
     STATUS_UNKNOWN,
     Construction,
+    LedgerEntry,
     evaluate_descriptor,
     evaluate_graph,
     evaluate_word,
@@ -152,6 +154,30 @@ class TestConstruction:
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
             Construction().evaluate("missing")
+
+
+class TestSelfJoinBuildsNoDenseForm:
+    """The self-join rule reads det Q from the form's nonzeros, so a long
+    self-join evaluates in memory linear in its size."""
+
+    def test_3000_vertex_self_join_peaks_under_8_mib(self):
+        n = 3000
+        names = [f"p{i}" for i in range(n)]
+        weights = [-1] + [-2] * (n - 2) + [-1]
+        build = Construction()
+        build.add_tree("X", PlumbingGraph(
+            tuple(zip(names, weights)), tuple(zip(names, names[1:], [1] * (n - 1)))))
+        g = build.add_self_join("G", "X", names[0], names[-1], -1)
+        tracemalloc.start()
+        try:
+            entry = build.evaluate("G")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entry == LedgerEntry(
+            f"graph:{plumbing.canonical_key(g)}", STATUS_BOUNDS,
+            "self-join-nonsingular(det=-4)<-s1xs2-base(homology-level)")
+        assert peak < 8 * 2**20  # the n x n form alone is about 70 MiB
 
 
 class TestOnlyTheAnswerGetsADescriptor:

@@ -595,6 +595,48 @@ class TestMergeMatchesReference:
         assert evaluate_graph(out) == evaluate_graph(fresh)
 
 
+def seeded_graph(rng, n):
+    """n vertices, weights -3..2 with zeros drawn a third of the time, in a
+    random forest (a vertex starts a new component one time in ten), plus at
+    most one more edge, so at most one cycle: a chord, a doubled tree edge
+    or a self-loop.  Edge signs are random."""
+    names, signs = [f"v{i}" for i in range(n)], (1, -1)
+    weights = [0 if rng.random() < 1 / 3 else rng.randint(-3, 2) for _ in names]
+    edges = [(names[rng.randrange(i)], names[i], rng.choice(signs))
+             for i in range(1, n) if rng.random() >= 0.1]
+    kind = rng.choice(("none", "chord", "double", "loop"))
+    if kind == "double" and edges:
+        edges.append(rng.choice(edges)[:2] + (rng.choice(signs),))
+    elif kind == "chord":
+        edges.append((rng.choice(names), rng.choice(names), rng.choice(signs)))
+    elif kind == "loop":
+        v = rng.choice(names)
+        edges.append((v, v, rng.choice(signs)))
+    rng.shuffle(edges)
+    return PlumbingGraph(tuple(zip(names, weights)), tuple(edges))
+
+
+class TestFormDet:
+    """``plumbing._form_det`` reads det Q from Q's nonzeros, the last minor of
+    ``intmat._sparse_minors``: the value and sign of ``det`` on the dense
+    form, whichever kernel ``det`` picks for its size."""
+
+    def test_matches_det_of_the_dense_form(self):
+        rng, dets = random.Random(2028), set()
+        for _ in range(300):
+            g = seeded_graph(rng, rng.randint(1, 120))
+            assert g.cycle_count <= 1
+            d = plumbing._form_det(g)
+            assert d == det(intersection_form(g)), format_graph(g)
+            dets.add((d > 0) - (d < 0))
+        assert dets == {-1, 0, 1}
+
+    def test_empty_and_zero_forms(self):
+        assert plumbing._form_det(PlumbingGraph((), ())) == 1
+        assert plumbing._form_det(PlumbingGraph((("v", 0),), ())) == 0
+        assert plumbing._form_det(PlumbingGraph((("v", 0),), (("v", "v", -1),))) == -2
+
+
 class TestJoinHypotheses:
     def test_single_zero_vertex(self):
         g = PlumbingGraph((("v", 0),), ())
