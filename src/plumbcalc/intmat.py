@@ -11,14 +11,14 @@ adds row and column j to row and column i, a congruence that makes a_ii =
 2 a_ij, so every step is one pivot.  ``_unit_core`` takes a form's
 nonzeros to a cokernel by its +-1 pivots.  Smith reduction with
 certificates takes +-1 pivots while any is left, and row Hermite forms
-kept reduced, the sides alternating, on what they leave; Bezout steps make
-the diagonal a divisor chain.  Without certificates, a large sparse
-symmetric input first loses its +-1 pivots to ``_unit_core``; then A of
-rank r is reduced modulo M by extended-gcd sweeps alone, every entry kept
-below M, where the Bareiss pass's last minors give an M that the factors
-needed divide: on a square nonsingular A, gcd(D_(r-1), D_r), as the gcd
-d_1 ... d_(r-1) of all (r-1)-minors divides both, and d_r = |D_r| /
-(d_1 ... d_(r-1)); else |D_r|, which d_1 ... d_r divides.
+kept reduced, the sides alternating, on what they leave; Bezout steps
+settle long pivot clashes and make the diagonal a divisor chain.  Without
+certificates, a large sparse symmetric input first loses its +-1 pivots
+to ``_unit_core``; then A of rank r is reduced modulo M by extended-gcd
+sweeps, every entry below M, where the Bareiss pass's last minors give an
+M that the factors needed divide: on a square nonsingular A, gcd(D_(r-1),
+D_r), as the gcd d_1 ... d_(r-1) of all (r-1)-minors divides both, and
+d_r = |D_r| / (d_1 ... d_(r-1)); else |D_r|, which d_1 ... d_r divides.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 from math import gcd, lcm, prod
 
-from .errors import DomainError, _ints, _Value, is_perfect_square
+from .errors import ContractError, DomainError, _ints, _Value, is_perfect_square
 
 __all__ = [
     "IntMatrix",
@@ -317,7 +317,8 @@ def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
     """Row Hermite normal form of ``w`` in place (positive pivots reducing the
     entries above them, zero rows last), doing the same row operations on
     ``c``.  Rows go in one at a time and those so far are kept reduced
-    (Kannan-Bachem), so entries stay bounded by the minors of ``w``."""
+    (Kannan-Bachem), so entries stay bounded by the minors of ``w``.  A remainder
+    whose Euclid chain with its pivot has 3+ quotients takes one Bezout step (GTM 138, 2.4)."""
     hw, hc, cols, zw, zc = [], [], [], [], []  # pivot rows, companions, pivot columns
     n = len(w[0]) if w else 0
     for row, crow in zip(w, c):
@@ -333,12 +334,18 @@ def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
             q = row[lead] // hw[s][lead]
             _axpy(row, hw[s], -q)
             _axpy(crow, hc[s], -q)
-            while row[lead]:  # the pivot does not divide: Euclid on the pair
-                q = hw[s][lead] // row[lead]
-                _axpy(hw[s], row, -q)
-                _axpy(hc[s], crow, -q)
-                hw[s], row, hc[s], crow = row, hw[s], crow, hc[s]
+            while y := row[lead]:  # 0 < y < p, the pivot p = hw[s][lead]
                 first = min(first, s)
+                if (p := hw[s][lead]) % y and y % (p % y):  # 3+ quotients: one Bezout step
+                    g, a, b, p, y = _bezout(p, y)
+                    hw[s], row = ([a * x + b * z for x, z in zip(hw[s], row)],
+                                  [p * z - y * x for x, z in zip(hw[s], row)])
+                    hc[s], crow = ([a * x + b * z for x, z in zip(hc[s], crow)],
+                                   [p * z - y * x for x, z in zip(hc[s], crow)])
+                    break
+                _axpy(hw[s], row, -(p // y))  # else Euclid: one quotient, and a swap
+                _axpy(hc[s], crow, -(p // y))
+                hw[s], row, hc[s], crow = row, hw[s], crow, hc[s]
         if lead == n:
             zw.append(row)
             zc.append(crow)
@@ -359,12 +366,12 @@ def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
     c[:] = hc + zc
 
 
-def _bezout(p: int, y: int) -> tuple[int, int, int]:
-    """``(g, s, t)`` with ``g = gcd(p, y) = s p + t y``, for ``p >= 0`` and ``y > 0``:
+def _bezout(p: int, y: int) -> tuple[int, int, int, int, int]:
+    """``(g, s, t, p/g, y/g)``, ``g = gcd(p, y) = s p + t y`` (``p >= 0``, ``y > 0``):
     ``[[s, t], [-y/g, p/g]]`` has determinant 1 and takes ``(p, y)`` to ``(g, 0)``."""
     g = gcd(p, y)
     s = pow(p // g, -1, y // g)
-    return g, s, (g - s * p) // y
+    return g, s, (g - s * p) // y, p // g, y // g
 
 
 def _smith(m: IntMatrix):
@@ -420,12 +427,12 @@ def _smith(m: IntMatrix):
         for j in range(i + 1, len(d)):
             a, b = d[i], d[j]
             if b % a if a else b:
-                g, s, q = _bezout(a, b)
+                g, s, q, ag, bg = _bezout(a, b)
                 u[i], u[j] = ([s * x + q * y for x, y in zip(u[i], u[j])],
-                              [(a * y - b * x) // g for x, y in zip(u[i], u[j])])
+                              [ag * y - bg * x for x, y in zip(u[i], u[j])])
                 _axpy(vt[i], vt[j], 1)
-                _axpy(vt[j], vt[i], -q * b // g)
-                d[i], d[j] = g, a * b // g
+                _axpy(vt[j], vt[i], -q * bg)
+                d[i], d[j] = g, a * bg
     # The rows at zeros of the form span a kernel of m.  One such row is the
     # primitive vector of the minors of m over their gcd, so it is small as
     # it is; two or more go to Hermite form, which those minors bound, and
@@ -452,6 +459,8 @@ def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
     (which keep the factors) until the pivot ``p`` divides its row and
     column, and it gives ``gcd(p, d)``.  A column holding a unit mod d
     gives 1, as its gcd divides that unit.  Entries stay below d."""
+    if d <= 0:  # checked also under -O: a negative d never ends, and 0 divides by zero
+        raise ContractError("contract-smith-modulus", f"modulus {d} is not positive")
     a, fs = [[x % d for x in row] for row in a], []
     while a and a[0]:
         while True:
@@ -462,8 +471,7 @@ def _smith_mod(a: list[list[int]], d: int) -> tuple[int, ...]:
                     q = y // p
                     a[i] = [(z - q * x) % d for x, z in zip(rt, ri)]
                 elif y:  # [[u, v], [-y/g, p/g]] has determinant 1 and pivot g
-                    g, u, v = _bezout(p, y)
-                    s, t = p // g, y // g
+                    g, u, v, s, t = _bezout(p, y)
                     rt, a[i] = ([(u * x + v * z) % d for x, z in zip(rt, ri)],
                                 [(s * z - t * x) % d for x, z in zip(rt, ri)])
             a[0], p = rt, rt[0]

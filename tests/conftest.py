@@ -164,6 +164,55 @@ def reference_recognize_family(a):
     return None
 
 
+def reference_hermite(w, c):
+    """Reference row Hermite pass: the Kannan-Bachem loop of ``intmat._hermite``
+    with a Euclid chain of quotient-and-swap steps at every pivot clash, where
+    the library takes one Bezout step on a long chain.  In place, as there."""
+
+    def axpy(dst, src, k):
+        for j, y in enumerate(src):
+            dst[j] += k * y
+
+    hw, hc, cols, zw, zc = [], [], [], [], []
+    n = len(w[0]) if w else 0
+    for row, crow in zip(w, c):
+        first = len(hw)
+        lead = s = 0
+        while True:
+            while lead < n and not row[lead]:
+                lead += 1
+            while s < len(cols) and cols[s] < lead:
+                s += 1
+            if lead == n or s == len(cols) or cols[s] != lead:
+                break
+            q = row[lead] // hw[s][lead]
+            axpy(row, hw[s], -q)
+            axpy(crow, hc[s], -q)
+            while row[lead]:  # Euclid on the pair
+                q = hw[s][lead] // row[lead]
+                axpy(hw[s], row, -q)
+                axpy(hc[s], crow, -q)
+                hw[s], row, hc[s], crow = row, hw[s], crow, hc[s]
+                first = min(first, s)
+        if lead == n:
+            zw.append(row)
+            zc.append(crow)
+        else:
+            if row[lead] < 0:
+                row, crow = [-x for x in row], [-x for x in crow]
+            cols.insert(s, lead)
+            hw.insert(s, row)
+            hc.insert(s, crow)
+            first = min(first, s)
+        for s in range(first, len(hw)):
+            for s2 in range(s):
+                q = hw[s2][cols[s]] // hw[s][cols[s]]
+                axpy(hw[s2], hw[s], -q)
+                axpy(hc[s2], hc[s], -q)
+    w[:] = hw + zw
+    c[:] = hc + zc
+
+
 def brute_lex_min_rotation(s):
     """Least rotation by comparing all of them: the oracle for Booth's kernel."""
     s = tuple(s)

@@ -1,10 +1,12 @@
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 from time import process_time
 
 import pytest
 
+import plumbcalc.intmat
 from plumbcalc.cli import build_parser, main
 from plumbcalc.plumbing import parse_graph
 
@@ -222,6 +224,42 @@ class TestPlumbCommands:
         code, out, _ = invoke(capsys, "plumb", "form", graph_file)
         assert code == 0
         assert out == ("form=-1,1,0,0;1,-2,1,0;0,1,-2,1;0,0,1,-1\ndet=0\n")
+
+    def test_form_past_the_entry_cap_is_refused(self, capsys, tmp_path, monkeypatch):
+        # 3163^2 > 10^7 entries: refused before the n x n form is built
+        n = 3163
+        path = tmp_path / "path.graph"
+        path.write_text("".join(f"vertex p{i} -2\n" for i in range(n))
+                        + "".join(f"edge p{i} p{i + 1} +\n" for i in range(n - 1)))
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, "plumb", "form", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "error=too-large\n")
+        assert "Traceback" not in err
+        assert peak < 2**24  # the form alone is 80 MB of pointers
+        # the cap itself: 16 entries hold the 4-vertex form, 15 do not
+        monkeypatch.setattr(plumbcalc.intmat, "_MAX_CERTIFICATE", 16)
+        seed = tmp_path / "seed.graph"
+        seed.write_text(SEED_PATH_TEXT)
+        assert invoke(capsys, "plumb", "form", str(seed))[0] == 0
+        monkeypatch.setattr(plumbcalc.intmat, "_MAX_CERTIFICATE", 15)
+        assert invoke(capsys, "plumb", "form", str(seed))[:2] == (1, "error=too-large\n")
+
+    def test_form_det_of_a_long_path(self, capsys, tmp_path):
+        # det= comes from the form's nonzeros; a tridiagonal form's det follows
+        # the continuant recurrence D_k = w_k D_(k-1) - D_(k-2)
+        weights = [-3] + [-2] * 88 + [-3]
+        path = tmp_path / "path.graph"
+        path.write_text("".join(f"vertex p{i} {w}\n" for i, w in enumerate(weights))
+                        + "".join(f"edge p{i} p{i + 1} +\n" for i in range(len(weights) - 1)))
+        before, d = 1, weights[0]
+        for w in weights[1:]:
+            before, d = d, w * d - before
+        code, out, _ = invoke(capsys, "plumb", "form", str(path))
+        assert code == 0 and out.splitlines()[1] == f"det={d}"
 
     def test_homology(self, capsys, graph_file):
         code, out, _ = invoke(capsys, "plumb", "homology", graph_file)

@@ -60,6 +60,8 @@ ROWS = [
     # an even unimodular form whose signature reads 4
     ("contract-rohlin", lambda: obstruct.rohlin_mu(IntMatrix.from_rows([[0, 1], [1, 0]])),
      (intmat, "_det_signature", lambda m: (1, 4))),
+    # a negative modulus: the sweep never ended
+    ("contract-smith-modulus", lambda: intmat._smith_mod([[3, 6, 4], [3, -4, 0]], -30), None),
     ("duplicate-name", ["ledger", "eval", "build:twice.build"], None),
     ("duplicate-vertex", ["plumb", "homology", "dup.graph"], None),
     ("empty-chain", lambda: ChainState(()), None),
@@ -99,6 +101,8 @@ SITES = [
                                     "--sign", "+"]),
     ("check_join_hypotheses-tree", "non-tree", ["plumb", "checkjoin", "c3.graph", "--v", "a"]),
     ("FamilyParams-k", "bad-family-params", ["family", "gen", "k=-1;x="]),
+    # the zero modulus, which divided by zero
+    ("_smith_mod-zero-modulus", "contract-smith-modulus", lambda: intmat._smith_mod([[2]], 0)),
 ]
 
 
