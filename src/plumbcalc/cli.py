@@ -79,9 +79,7 @@ def _family_check(args) -> list[str]:
 
 
 def _plumb_form(args) -> list[str]:
-    if len((g := _graph(args.graph)).vertices) ** 2 > (cap := pc.intmat._MAX_CERTIFICATE):
-        raise DomainError("too-large", f"a {len(g.vertices)}-vertex form exceeds {cap} entries")
-    q = pc.plumbing.intersection_form(g)  # built only below the cap
+    q = pc.plumbing.intersection_form(g := _graph(args.graph))
     return [f"form={pc.intmat.inline_matrix(q)}", f"det={pc.plumbing._form_det(g)}"]
 
 

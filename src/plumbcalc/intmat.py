@@ -12,7 +12,7 @@ adds row and column j to row and column i, a congruence that makes a_ii =
 nonzeros to a cokernel by its +-1 pivots.  Smith reduction with
 certificates takes +-1 pivots while any is left, and row Hermite forms
 kept reduced, the sides alternating, on what they leave; Bezout steps
-settle long pivot clashes and make the diagonal a divisor chain.  Without
+settle each pivot clash and make the diagonal a divisor chain.  Without
 certificates, a large sparse symmetric input first loses its +-1 pivots
 to ``_unit_core``; then A of rank r is reduced modulo M by extended-gcd
 sweeps, every entry below M, where the Bareiss pass's last minors give an
@@ -317,8 +317,8 @@ def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
     """Row Hermite normal form of ``w`` in place (positive pivots reducing the
     entries above them, zero rows last), doing the same row operations on
     ``c``.  Rows go in one at a time and those so far are kept reduced
-    (Kannan-Bachem), so entries stay bounded by the minors of ``w``.  A remainder
-    whose Euclid chain with its pivot has 3+ quotients takes one Bezout step (GTM 138, 2.4)."""
+    (Kannan-Bachem), so entries stay bounded by the minors of ``w``.  A row that
+    meets a pivot takes a floor quotient, then one Bezout step (GTM 138, 2.4) on any remainder."""
     hw, hc, cols, zw, zc = [], [], [], [], []  # pivot rows, companions, pivot columns
     n = len(w[0]) if w else 0
     for row, crow in zip(w, c):
@@ -334,18 +334,13 @@ def _hermite(w: list[list[int]], c: list[list[int]]) -> None:
             q = row[lead] // hw[s][lead]
             _axpy(row, hw[s], -q)
             _axpy(crow, hc[s], -q)
-            while y := row[lead]:  # 0 < y < p, the pivot p = hw[s][lead]
+            if y := row[lead]:  # 0 < y < p, the pivot hw[s][lead]: one Bezout step
                 first = min(first, s)
-                if (p := hw[s][lead]) % y and y % (p % y):  # 3+ quotients: one Bezout step
-                    g, a, b, p, y = _bezout(p, y)
-                    hw[s], row = ([a * x + b * z for x, z in zip(hw[s], row)],
-                                  [p * z - y * x for x, z in zip(hw[s], row)])
-                    hc[s], crow = ([a * x + b * z for x, z in zip(hc[s], crow)],
-                                   [p * z - y * x for x, z in zip(hc[s], crow)])
-                    break
-                _axpy(hw[s], row, -(p // y))  # else Euclid: one quotient, and a swap
-                _axpy(hc[s], crow, -(p // y))
-                hw[s], row, hc[s], crow = row, hw[s], crow, hc[s]
+                g, a, b, p, y = _bezout(hw[s][lead], y)
+                hw[s], row = ([a * x + b * z for x, z in zip(hw[s], row)],
+                              [p * z - y * x for x, z in zip(hw[s], row)])
+                hc[s], crow = ([a * x + b * z for x, z in zip(hc[s], crow)],
+                               [p * z - y * x for x, z in zip(hc[s], crow)])
         if lead == n:
             zw.append(row)
             zc.append(crow)
@@ -396,10 +391,9 @@ def _smith(m: IntMatrix):
             i = min(units)[1]
             j = next(j for j in range(t, nc) if mat[i][j] in (1, -1))
             mat[t], mat[i], u[t], u[i] = mat[i], mat[t], u[i], u[t]
-            if j != t:
-                for row in mat[t:]:
-                    row[t], row[j] = row[j], row[t]
-                vt[t], vt[j] = vt[j], vt[t]
+            for row in mat[t:]:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
             rt, p = mat[t], mat[t][t]
             for i in range(t + 1, nr):
                 if mat[i][t]:
@@ -610,7 +604,7 @@ def signature(m: IntMatrix) -> int:
 
 
 _MAX_DIMENSION = 10**6  # largest dimension parse_matrix_text reads
-_MAX_CERTIFICATE = 10**7  # most entries of snf's u and v together: 80 MB of pointers a copy
+_MAX_CERTIFICATE = 10**7  # most entries of snf's u and v together, or of a form: 80 MB of pointers
 
 
 def parse_matrix_text(text: str) -> IntMatrix:

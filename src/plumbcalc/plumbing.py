@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from . import intmat
 from .errors import _SIGNS, DomainError, _ints, _keyword_lines, _Value
 from .intmat import AbelianGroupDesc, IntMatrix, _sparse_minors, _unit_core, abelian_group_of
 from .sl2 import MonodromyWord, SL2Element, _framed_word, lex_min_rotation, word_to_matrix
@@ -211,8 +212,10 @@ def _form_det(g: PlumbingGraph) -> int:
 
 
 def intersection_form(g: PlumbingGraph) -> IntMatrix:
-    """Symmetric linking matrix Q, filled from :func:`_form_rows`."""
-    n = len(g.vertices)
+    """Symmetric linking matrix Q, filled from :func:`_form_rows`; ``too-large``,
+    with nothing built, past ``intmat._MAX_CERTIFICATE`` entries."""
+    if (n := len(g.vertices)) ** 2 > (cap := intmat._MAX_CERTIFICATE):
+        raise DomainError("too-large", f"a {n}-vertex form exceeds {cap} entries")
     q = [0] * (n * n)
     for i, row in enumerate(_form_rows(g.vertices, g.edges)):
         for j, x in row.items():
@@ -393,11 +396,11 @@ def check_join_hypotheses(g: PlumbingGraph, v: str) -> JoinHypotheses:
         raise DomainError("non-tree", "hypothesis check needs a plumbing tree")
     g.weight(v)
     boundary_ok = boundary_homology(g) == AbelianGroupDesc(1, ())
-    # the tree minus v is a forest, so its boundary's homology is coker(Q)
+    # the tree minus v is a forest: a QS^3 boundary when its coker(Q) is finite
     rest_vertices = [(n, w) for n, w in g.vertices if n != v]
     rest_edges = [e for e in g.edges if v not in e]  # a sign is never a name
-    complement = abelian_group_of(_unit_core(_form_rows(rest_vertices, rest_edges)))
-    return JoinHypotheses(boundary_ok, complement.free_rank == 0)
+    core = _unit_core(_form_rows(rest_vertices, rest_edges))
+    return JoinHypotheses(boundary_ok, intmat.rank(core) == core.rows)
 
 
 def canonical_key(g: PlumbingGraph) -> str:

@@ -167,7 +167,7 @@ def reference_recognize_family(a):
 def reference_hermite(w, c):
     """Reference row Hermite pass: the Kannan-Bachem loop of ``intmat._hermite``
     with a Euclid chain of quotient-and-swap steps at every pivot clash, where
-    the library takes one Bezout step on a long chain.  In place, as there."""
+    the library takes one Bezout step.  In place, as there."""
 
     def axpy(dst, src, k):
         for j, y in enumerate(src):

@@ -400,10 +400,10 @@ def _hermite_blocks(rng):
 
 
 class TestHermite:
-    """The row Hermite pass of :func:`snf`, whose pivot clashes with a Euclid
-    chain of three or more quotients take one Bezout step, against the pass
-    that runs every chain (``reference_hermite``).  The Hermite form of a
-    row lattice is unique, and so is U = H W^-1 on a nonsingular W."""
+    """The row Hermite pass of :func:`snf`, where each pivot clash takes a
+    floor quotient and then one Bezout step, against the pass that runs the
+    whole Euclid chain (``reference_hermite``).  The Hermite form of a row
+    lattice is unique, and so is U = H W^-1 on a nonsingular W."""
 
     BLOCKS = _hermite_blocks(random.Random(2029))
 
@@ -423,6 +423,24 @@ class TestHermite:
                     assert c == ref_c
         assert steps  # the Bezout step ran
 
+    @pytest.mark.parametrize("ncols", (2, 3))
+    def test_every_two_row_clash(self, ncols):
+        # a pivot p in 1..40 met by a leading entry y in -40..40: Euclid chains
+        # of every length, one and two quotients included, end in one Bezout step
+        rng = random.Random(2031 + ncols)
+        for p, y in product(range(1, 41), range(-40, 41)):
+            rows = [[p] + [rng.randint(-40, 40) for _ in range(ncols - 1)],
+                    [y] + [rng.randint(-40, 40) for _ in range(ncols - 1)]]
+            w, c = [r[:] for r in rows], [[1, 0], [0, 1]]
+            ref_w, ref_c = [r[:] for r in rows], [[1, 0], [0, 1]]
+            intmat._hermite(w, c)
+            reference_hermite(ref_w, ref_c)
+            assert w == ref_w, rows
+            assert mat(c) @ mat(rows) == mat(w)
+            assert abs(c[0][0] * c[1][1] - c[0][1] * c[1][0]) == 1
+            if rank(mat(rows)) == 2:  # full row rank: c with c W = H is unique
+                assert c == ref_c, rows
+
     @pytest.mark.parametrize("kind", BLOCKS)
     def test_companion_carries_the_row_operations(self, kind):
         for rows in self.BLOCKS[kind]:
@@ -433,7 +451,7 @@ class TestHermite:
 
     def test_snf_cpu_ratio_to_det_on_a_dense_40x40(self):
         # with a Euclid chain at every clash of the Hermite pass this took
-        # 6.4-6.9 times det, with one Bezout step on the long chains 4.1-4.7
+        # 6.4-6.9 times det, with one Bezout step per clash 4.0-4.05
         m = _random_dense(random.Random(2024), 40, 40)
         assert median_cpu_ratio(lambda: snf(m), lambda: det(m)) < 5.5
 

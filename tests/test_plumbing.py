@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import plumbcalc.intmat as intmat
 import plumbcalc.plumbing as plumbing
 from plumbcalc.errors import DomainError
 from plumbcalc.intmat import AbelianGroupDesc, IntMatrix, abelian_group_of, det
@@ -181,6 +183,27 @@ class TestIntersectionForm:
     def test_always_symmetric(self):
         g = self_join(SEED_PATH, "b", "d", -1)
         assert intersection_form(g).is_symmetric
+
+    def test_past_the_entry_cap_is_refused_before_building(self, monkeypatch):
+        # 3163^2 > 10^7 entries: the n x n tuple alone would be 80 MB of pointers
+        g = minus_two_path(3163)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as err:
+                intersection_form(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == "too-large"
+        assert str(err.value) == f"a 3163-vertex form exceeds {10**7} entries"
+        assert peak < 2**24
+        # the cap is read at call time: 16 entries hold the 4-vertex form, 15 do not
+        monkeypatch.setattr(intmat, "_MAX_CERTIFICATE", 16)
+        assert intersection_form(SEED_PATH).rows == 4
+        monkeypatch.setattr(intmat, "_MAX_CERTIFICATE", 15)
+        with pytest.raises(DomainError) as err:
+            intersection_form(SEED_PATH)
+        assert err.value.code == "too-large"
 
 
 class TestBoundaryHomology:
@@ -655,6 +678,35 @@ class TestJoinHypotheses:
         # components (-1) and (-2,-1) both have nonsingular forms
         assert det(IntMatrix.from_rows([[-1]])) != 0
         assert det(IntMatrix.from_rows([[-2, 1], [1, -1]])) != 0
+
+    def test_complement_matches_the_dense_cokernel(self):
+        # complement_qs3 reads the rank of the core that unit pivots leave; the
+        # oracle is the cokernel of the dense form of the tree minus v.  Random
+        # trees with zero weights, non-unit stars cut at the hub (isolated
+        # vertices left) or at a leaf, and the one-vertex trees, whose
+        # complement is empty
+        rng, seen = random.Random(2030), set()
+        cases = [(PlumbingGraph((("v", w),), ()), "v") for w in (-2, 0, 1)]
+        for _ in range(300):
+            n = rng.randint(2, 30)
+            names = [f"v{i}" for i in range(n)]
+            if rng.random() < 0.3:  # a -2 hub with leaves of weight -4..-2 or 0
+                weights = [-2] + [rng.choice((-4, -3, -2, 0)) for _ in names[1:]]
+                edges = [("v0", x, rng.choice((1, -1))) for x in names[1:]]
+                v = rng.choice(("v0", names[-1]))
+            else:
+                weights = [0 if rng.random() < 1 / 3 else rng.randint(-3, 2) for _ in names]
+                edges = [(names[rng.randrange(i)], names[i], rng.choice((1, -1)))
+                         for i in range(1, n)]
+                v = rng.choice(names)
+            cases.append((PlumbingGraph(tuple(zip(names, weights)), tuple(edges)), v))
+        for g, v in cases:
+            rest = PlumbingGraph(tuple((x, w) for x, w in g.vertices if x != v),
+                                 tuple(e for e in g.edges if v not in e))
+            expected = abelian_group_of(intersection_form(rest)).free_rank == 0
+            assert check_join_hypotheses(g, v).complement_is_qs3 == expected, format_graph(g)
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestJoinHypothesesDoubling:
