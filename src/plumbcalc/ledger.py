@@ -17,7 +17,8 @@ mutually exclusive by construction: every certified descriptor has square
 torsion order.
 
 The rules compute verdicts, ``(status, reason)`` pairs, from their operands'
-verdicts; only the returned entry gets a descriptor.
+verdicts; only the returned entry gets a descriptor.  A graph's torsion order
+is |det Q| when det Q != 0: only a singular form asks for boundary homology.
 """
 
 from __future__ import annotations
@@ -101,7 +102,9 @@ def _graph_verdict(g: PlumbingGraph) -> tuple[str, str]:
     if pc.plumbing.is_pure_cycle(g):
         # pure cycle: defer to the word-level rules via the traversal word
         return _word_verdict(_framed_word(*pc.plumbing.cycle_traversal(g)))
-    homology = pc.plumbing.boundary_homology(g)
+    if g.cycle_count < 2 and (q_det := pc.plumbing._form_det(g)):
+        return _square_fallback(abs(q_det))  # coker(Q) is finite, of order |det Q|
+    homology = pc.plumbing.boundary_homology(g)  # raises multi-cycle past one cycle
     if homology == pc.intmat.AbelianGroupDesc(1, ()) and g.is_tree():
         return STATUS_BOUNDS, "s1xs2-base(homology-level)"
     return _square_fallback(homology.torsion_order)

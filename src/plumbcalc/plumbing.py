@@ -5,8 +5,9 @@ self-loops are allowed, and at most one independent cycle.  One breadth-first
 walk per component gives a spanning forest; a graph's component count and its
 cycle are read from that walk once and kept.  The boundary 3-manifold's first
 homology is Z^{cycles} plus the cokernel of the intersection form Q, whose
-nonzeros come from the edge list: its +-1 entries are eliminated sparsely
-(``intmat._unit_core``) and only the core they leave goes to the Smith kernel.
+nonzeros come from the edge list: one leaf-to-root pass gives det Q and
+det(Q - v), and coker(Q) = Z/|det Q| when they are coprime; else the core
+that Q's +-1 pivots leave (``intmat._unit_core``) goes to the Smith kernel.
 Cyclic graphs are torus bundles: their monodromy is the product of T^{w_i} S
 over the cycle, scaled by the product of edge signs.
 """
@@ -14,10 +15,11 @@ over the cycle, scaled by the product of edge signs.
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd, prod
 
 from . import intmat
 from .errors import _SIGNS, DomainError, _ints, _keyword_lines, _Value
-from .intmat import AbelianGroupDesc, IntMatrix, _sparse_minors, _unit_core, abelian_group_of
+from .intmat import AbelianGroupDesc, IntMatrix, _unit_core, abelian_group_of
 from .sl2 import MonodromyWord, SL2Element, _framed_word, lex_min_rotation, word_to_matrix
 
 __all__ = [
@@ -204,11 +206,66 @@ def _form_rows(vertices, edges) -> list[dict[int, int]]:
     return [{c: x for c, x in r.items() if x} if 0 in r.values() else r for r in rows]
 
 
+def _ring_det(pairs, ends) -> int:
+    """det of a ring of m pairs (A_i, B_i) with ends[i] from the i-th to the next:
+    tr(prod [[A_i, -ends[i-1]^2 B_i], [B_i, 0]]) - 2 (-1)^m prod ends prod B."""
+    p, q, r, s = 1, 0, 0, 1
+    for (x, y), e in zip(pairs, ends[-1:] + ends[:-1]):
+        c = -e * e * y
+        p, q, r, s = p * x + q * y, c * p, r * x + s * y, c * r
+    return p + s - 2 * (-1) ** len(pairs) * prod(ends) * prod(y for _, y in pairs)
+
+
+def _form_minors(vertices, edges, root) -> tuple[int, int]:
+    """(det Q, det(Q - root)) by one leaf-to-root pass over Q's nonzeros (the
+    root of ``None`` is Q's first leaf, if any).  Vertex p carries A_p, the det
+    of the part folded into it, and B_p, that without p; a leaf c folds into p
+    across q by A_p <- A_p A_c - q^2 B_p B_c, B_p <- B_p A_c, with no division.
+    det(Q - root) is d det Q / d Q_root,root, carried as (dA, dB) by the vertex
+    holding the root.  A ring left closes by :func:`_ring_det`, linear in each
+    pair; a vertex of degree three left is a second cycle."""
+    rows = _form_rows(vertices, edges)
+    a, b = [r.pop(i, 0) for i, r in enumerate(rows)], [1] * len(rows)  # rows keep the neighbours
+    leaves = [i for i, r in enumerate(rows) if len(r) == 1]
+    held = next((i for i, (n, _) in enumerate(vertices) if n == root), leaves[0] if leaves else -1)
+    da, db = int(held >= 0), 0
+    for c in leaves:  # grows as the peel makes new leaves
+        if len(rc := rows[c]) != 1:
+            continue  # its neighbour was folded into it: the last of its tree
+        ((p, q),) = rc.items()
+        rows[c], rp = None, rows[p]
+        del rp[c]
+        ac, bc, ap, bp, q = a[c], b[c], a[p], b[p], q * q
+        a[p], b[p] = ap * ac - q * bp * bc, bp * ac
+        if held == c:
+            held, da, db = p, ap * da - q * bp * db, bp * da
+        elif held == p:
+            da, db = da * ac - q * db * bc, db * ac
+        if len(rp) == 1:
+            leaves.append(p)
+    q_det, minor = 1, 0  # the components' product, det Q + t det(Q - root)
+    for i, r in enumerate(rows):
+        if r is None:
+            continue
+        x, dx, ring, ends, prev, v = a[i], da if held == i else 0, [], [], -1, i
+        while r and (v != i or not ring):  # a ring: each step leaves by the other neighbour
+            if (rv := rows[v]) is None or len(rv) != 2:
+                raise DomainError("multi-cycle", "graphs with two or more cycles are unsupported")
+            rows[v], (y, z) = None, rv
+            ring.append(v)
+            prev, v = v, z if y == prev else y
+            ends.append(rv[v])
+        if ring:
+            x = _ring_det([(a[v], b[v]) for v in ring], ends)
+            if held in ring:
+                dx = _ring_det([(da, db) if v == held else (a[v], b[v]) for v in ring], ends)
+        q_det, minor = q_det * x, minor * x + q_det * dx
+    return q_det, minor
+
+
 def _form_det(g: PlumbingGraph) -> int:
-    """det Q from Q's nonzeros alone: the last minor of ``_sparse_minors``,
-    whose pivot order is a symmetric permutation, so the sign is det's."""
-    minors = _sparse_minors(_form_rows(g.vertices, g.edges))
-    return minors[-1] if len(minors) > len(g.vertices) else 0
+    """det Q by one pass of :func:`_form_minors`."""
+    return _form_minors(g.vertices, g.edges, None)[0]
 
 
 def intersection_form(g: PlumbingGraph) -> IntMatrix:
@@ -224,11 +281,22 @@ def intersection_form(g: PlumbingGraph) -> IntMatrix:
 
 
 def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:
-    """First homology of the boundary: coker(Q) plus one Z per cycle, the
-    cokernel from the core that Q's unit pivots leave."""
+    """First homology of the boundary: coker(Q) plus one Z per cycle, for a
+    pure cycle Z + coker(eps M - I), M its monodromy.  Else d_1 ... d_(n-1)
+    divides det Q and det(Q - v), v a leaf: if they are coprime, coker(Q) is
+    Z/|det Q|; if not, it comes from the core Q's unit pivots leave."""
     cycles = g.cycle_count
     if cycles > 1:
         raise DomainError("multi-cycle", "boundary homology needs at most one cycle")
+    if is_pure_cycle(g):
+        m, sign = cycle_monodromy(g)
+        a, b, c, d = sign * m.a - 1, sign * m.b, sign * m.c, sign * m.d - 1
+        f, order = gcd(a, b, c, d), abs(a * d - b * c)  # Z/f + Z/(order/f) at full rank
+        factors = (f, order // f) if order else (f,)  # else Z + Z/f, or Z^2 if f = 0
+        return AbelianGroupDesc(1 + (not order) + (not f), tuple(x for x in factors if x > 1))
+    q_det, minor = _form_minors(g.vertices, g.edges, None)
+    if q_det and gcd(q_det, minor) == 1:
+        return AbelianGroupDesc(cycles, (abs(q_det),) if abs(q_det) > 1 else ())
     coker = abelian_group_of(_unit_core(_form_rows(g.vertices, g.edges)))
     return AbelianGroupDesc(coker.free_rank + cycles, coker.torsion_factors)
 
@@ -395,12 +463,11 @@ def check_join_hypotheses(g: PlumbingGraph, v: str) -> JoinHypotheses:
     if not g.is_tree():
         raise DomainError("non-tree", "hypothesis check needs a plumbing tree")
     g.weight(v)
-    boundary_ok = boundary_homology(g) == AbelianGroupDesc(1, ())
-    # the tree minus v is a forest: a QS^3 boundary when its coker(Q) is finite
-    rest_vertices = [(n, w) for n, w in g.vertices if n != v]
-    rest_edges = [e for e in g.edges if v not in e]  # a sign is never a name
-    core = _unit_core(_form_rows(rest_vertices, rest_edges))
-    return JoinHypotheses(boundary_ok, intmat.rank(core) == core.rows)
+    # the forest g - v has a QS^3 boundary iff det(Q - v) != 0; coker(Q) = Z needs
+    # det Q = 0, and a unit (n-1)-minor makes it so
+    q_det, minor = _form_minors(g.vertices, g.edges, v)
+    boundary_ok = not q_det and (minor in (1, -1) or boundary_homology(g) == AbelianGroupDesc(1, ()))
+    return JoinHypotheses(boundary_ok, minor != 0)
 
 
 def canonical_key(g: PlumbingGraph) -> str:

@@ -55,7 +55,7 @@ def _check_size(entries: int) -> None:
 def _check_dual_input(b: tuple[int, ...]) -> None:
     if not b:
         raise DomainError("empty-string", "dual-string calculus needs a nonempty string")
-    if any(x < 2 for x in b):
+    if min(b) < 2:
         raise DomainError("bad-string", "dual-string calculus needs entries >= 2")
 
 
@@ -141,7 +141,7 @@ def _family_parse(a: tuple[int, ...]) -> tuple[FamilyParams, int] | None:
     either every such rotation parses or none does, and the first one is
     the smallest rotation index that parses.
     """
-    if any(x < 2 for x in a):
+    if not a or min(a) < 2:
         return None
     starts = [r for r, x in enumerate(a) if x >= 3]
     n = len(starts)

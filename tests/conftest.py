@@ -315,3 +315,47 @@ def reference_self_join(g, v1, v2, sign):
         (v1 if u == v2 else u, v1 if v == v2 else v, s) for u, v, s in edges
     )
     return PlumbingGraph(vertices, remapped)
+
+
+def reference_boundary_homology(g):
+    """Reference boundary homology: the general route alone, the cokernel of
+    the core that Q's unit pivots leave plus one Z per cycle, with no det,
+    no coprime-minor certificate and no pure-cycle shortcut."""
+    from plumbcalc.errors import DomainError
+    from plumbcalc.intmat import AbelianGroupDesc, _unit_core, abelian_group_of
+    from plumbcalc.plumbing import _form_rows
+
+    if g.cycle_count > 1:
+        raise DomainError("multi-cycle", "boundary homology needs at most one cycle")
+    coker = abelian_group_of(_unit_core(_form_rows(g.vertices, g.edges)))
+    return AbelianGroupDesc(coker.free_rank + g.cycle_count, coker.torsion_factors)
+
+
+def reference_join_hypotheses(g, v):
+    """Reference join check: the boundary by :func:`reference_boundary_homology`,
+    the complement by the rank of the core that the unit pivots of the
+    form of the lists without ``v`` leave."""
+    from plumbcalc.intmat import AbelianGroupDesc, _unit_core, rank
+    from plumbcalc.plumbing import JoinHypotheses, _form_rows
+
+    boundary = reference_boundary_homology(g) == AbelianGroupDesc(1, ())
+    rest_vertices = [(n, w) for n, w in g.vertices if n != v]
+    core = _unit_core(_form_rows(rest_vertices, [e for e in g.edges if v not in e]))
+    return JoinHypotheses(boundary, rank(core) == core.rows)
+
+
+def reference_graph_verdict(g):
+    """Reference ledger verdict of a graph, homology first: a pure cycle by
+    its traversal word, else the S^1 x S^2 seed on a tree whose homology is
+    Z, else the square test on the torsion order."""
+    from plumbcalc import ledger
+    from plumbcalc.intmat import AbelianGroupDesc
+    from plumbcalc.plumbing import cycle_traversal, is_pure_cycle
+    from plumbcalc.sl2 import _framed_word
+
+    if is_pure_cycle(g):
+        return ledger._word_verdict(_framed_word(*cycle_traversal(g)))
+    homology = reference_boundary_homology(g)
+    if homology == AbelianGroupDesc(1, ()) and g.is_tree():
+        return ledger.STATUS_BOUNDS, "s1xs2-base(homology-level)"
+    return ledger._square_fallback(homology.torsion_order)

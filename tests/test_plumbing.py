@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import plumbcalc.intmat as intmat
 import plumbcalc.plumbing as plumbing
 from plumbcalc.errors import DomainError
-from plumbcalc.intmat import AbelianGroupDesc, IntMatrix, abelian_group_of, det
+from plumbcalc.intmat import AbelianGroupDesc, IntMatrix, _bareiss, abelian_group_of, det
 from plumbcalc.ledger import evaluate_graph
 from plumbcalc.plumbing import (
     PlumbingGraph,
@@ -30,7 +30,10 @@ from conftest import (
     best_cpu_seconds,
     hyperbolic_strings,
     median_cpu_ratio,
+    reference_boundary_homology,
+    reference_graph_verdict,
     reference_join,
+    reference_join_hypotheses,
     reference_self_join,
 )
 
@@ -640,9 +643,9 @@ def seeded_graph(rng, n):
 
 
 class TestFormDet:
-    """``plumbing._form_det`` reads det Q from Q's nonzeros, the last minor of
-    ``intmat._sparse_minors``: the value and sign of ``det`` on the dense
-    form, whichever kernel ``det`` picks for its size."""
+    """``plumbing._form_det`` reads det Q from Q's nonzeros by one pass of
+    ``_form_minors``: the value and sign of ``det`` on the dense form,
+    whichever kernel ``det`` picks for its size."""
 
     def test_matches_det_of_the_dense_form(self):
         rng, dets = random.Random(2028), set()
@@ -658,6 +661,166 @@ class TestFormDet:
         assert plumbing._form_det(PlumbingGraph((), ())) == 1
         assert plumbing._form_det(PlumbingGraph((("v", 0),), ())) == 0
         assert plumbing._form_det(PlumbingGraph((("v", 0),), (("v", "v", -1),))) == -2
+
+    def test_star_doubling_ratio_under_2_5(self):
+        # each leaf folds into the hub in O(1), so stars are linear: 800 to 1600 arms
+        small, large = star_graph(800), star_graph(1600)
+        assert plumbing._form_det(large) == 1598
+        assert median_cpu_ratio(lambda: plumbing._form_det(large),
+                                lambda: plumbing._form_det(small)) < 2.5
+
+
+def dense_minors(g, root):
+    """Oracle: det Q and det(Q - root) by ``intmat._bareiss`` on the dense
+    form and on the form without the root's row and column."""
+    def dense_det(rows):
+        minors, sign = _bareiss(rows)
+        return sign * minors[-1] if len(minors) > len(rows) else 0
+
+    q, k = intersection_form(g).to_rows(), g.names.index(root)
+    rest = [r[:k] + r[k + 1:] for i, r in enumerate(q) if i != k]
+    return dense_det(q), dense_det(rest)  # _bareiss works in place
+
+
+class TestFormMinors:
+    """``plumbing._form_minors`` against ``_bareiss`` on the dense form: det Q
+    and the principal minor at a drawn root, and det Q alone with the root
+    the pass picks itself.  Forests with at most one cycle, self-loops,
+    doubled edges (their signs may cancel to a 0 entry), zero weights and
+    isolated vertices, and rings closed by a chord."""
+
+    @example(parse_graph("vertex a -2\nvertex b -3\nedge a b +\nedge b a -\n"), 0)
+    @example(parse_graph("vertex a 0\nvertex b 0\nvertex c 0\nedge a b +\nedge b c +\n"
+                         "edge c a +\n"), 1)
+    @example(parse_graph(HANG_TEXT), 3)
+    @example(parse_graph("vertex a 0\nvertex b -2\nvertex c -3\nedge b c +\nedge c c -\n"), 0)
+    @example(star_graph(3), 2)
+    @settings(max_examples=500, deadline=None)
+    @given(plumbings(), st.integers(0, 10**6))
+    def test_matches_bareiss(self, g, pick):
+        root = g.names[pick % len(g.names)]
+        expected = dense_minors(g, root)
+        assert plumbing._form_minors(g.vertices, g.edges, root) == expected
+        assert plumbing._form_minors(g.vertices, g.edges, None)[0] == expected[0]
+
+    def test_empty_graph(self):
+        assert plumbing._form_minors((), (), None) == (1, 0)
+        # the one-vertex complement is empty: det(Q - v) = 1
+        assert plumbing._form_minors((("v", 5),), (), "v") == (5, 1)
+
+    def test_two_rings_in_two_components(self):
+        # parse_graph refuses two cycles; the pass takes each ring on its own
+        names = [x + y for x in "pq" for y in "abc"]
+        g = PlumbingGraph(tuple(zip(names, (-3, -2, -4, -1, 0, 2))), tuple(
+            (names[i], names[i + 1 if i % 3 < 2 else i - 2], 1 if i % 3 else -1) for i in range(6)))
+        assert plumbing._form_minors(g.vertices, g.edges, "qb") == dense_minors(g, "qb")
+
+    def test_theta_is_multi_cycle(self):
+        g = PlumbingGraph((("a", -3), ("b", -3), ("c", -3), ("d", -3)),
+                          (("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1), ("a", "c", 1)))
+        with pytest.raises(DomainError) as err:
+            plumbing._form_minors(g.vertices, g.edges, None)
+        assert err.value.code == "multi-cycle"
+
+
+def seeded_tree(rng, n):
+    """A random tree on n vertices with the weights of :func:`seeded_graph`."""
+    names = [f"v{i}" for i in range(n)]
+    weights = [0 if rng.random() < 1 / 3 else rng.randint(-3, 2) for _ in names]
+    edges = [(names[rng.randrange(i)], names[i], rng.choice((1, -1))) for i in range(1, n)]
+    return PlumbingGraph(tuple(zip(names, weights)), tuple(edges))
+
+
+def shaped_graphs(rng):
+    """Seeded graphs of 1 to 800 vertices: random forests with at most one
+    cycle and random trees, then -2 paths, stars, caterpillars, negative
+    definite random trees, pure cycles and a ring with trees on it."""
+    graphs = [seeded_graph(rng, rng.randint(1, 60)) for _ in range(150)]
+    graphs += [seeded_tree(rng, rng.randint(1, 60)) for _ in range(150)]
+    graphs += [seeded_graph(rng, n) for n in (200, 400, 800)]
+    graphs += [seeded_tree(rng, n) for n in (200, 400, 800)]
+    graphs += [minus_two_path(800), star_graph(400), caterpillar_graph(800)]
+    for n in (10, 40, 100):
+        names = [f"t{i}" for i in range(n)]
+        graphs.append(PlumbingGraph(
+            tuple((x, rng.randint(-5, -2)) for x in names),
+            tuple((names[rng.randrange(i)], names[i], rng.choice((1, -1))) for i in range(1, n))))
+    for n in (1, 2, 3, 50, 400):
+        names = [f"c{i}" for i in range(n)]
+        graphs.append(PlumbingGraph(
+            tuple((x, rng.randint(-4, 2)) for x in names),
+            tuple((names[i], names[(i + 1) % n], rng.choice((1, -1))) for i in range(n))))
+    graphs.append(parse_graph(HANG_TEXT))
+    return graphs
+
+
+class TestAgainstTheGeneralRoute:
+    """Seeded differential against the route every form took before the
+    det pass (conftest): the unit-pivot core and its Smith form for
+    boundary homology, homology first in the ledger, and the complement's
+    core rank in the join check."""
+
+    def test_boundary_homology(self):
+        for g in shaped_graphs(random.Random(3101)):
+            assert boundary_homology(g) == reference_boundary_homology(g), format_graph(g)
+
+    def test_evaluate_graph(self):
+        for g in shaped_graphs(random.Random(3102)):
+            entry = evaluate_graph(g)
+            assert (entry.status, entry.reason) == reference_graph_verdict(g), format_graph(g)
+
+    def test_join_hypotheses(self):
+        rng, seen = random.Random(3103), set()
+        trees = [seeded_tree(rng, rng.randint(1, 40)) for _ in range(300)]
+        trees += [seeded_tree(rng, n) for n in (200, 400, 800)]
+        trees += [minus_two_path(800), star_graph(400), SEED_PATH]
+        for g in trees:
+            for v in {g.names[0], g.names[-1], rng.choice(g.names)}:
+                report = check_join_hypotheses(g, v)
+                assert report == reference_join_hypotheses(g, v), (format_graph(g), v)
+                seen.add((report.boundary_is_s1xs2, report.complement_is_qs3))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestFallbacks:
+    """Forms whose det pass certifies nothing take the general route; a
+    pure cycle's 2x2 matrix eps M - I may be singular."""
+
+    @pytest.fixture
+    def general(self, monkeypatch):
+        """The forms handed to ``_unit_core``, in order."""
+        calls, unit_core = [], plumbing._unit_core
+
+        def counted(rows):
+            calls.append(rows)
+            return unit_core(rows)
+
+        monkeypatch.setattr(plumbing, "_unit_core", counted)
+        return calls
+
+    def test_d4_star(self, general):
+        # det 4, and every (n-1)-minor is even: Z/2 + Z/2, not cyclic
+        g = parse_graph("vertex h -2\nvertex a -2\nvertex b -2\nvertex c -2\n"
+                        "edge h a +\nedge h b +\nedge h c +\n")
+        assert boundary_homology(g) == dense_homology(g) == AbelianGroupDesc(0, (2, 2))
+        assert len(general) == 1
+
+    def test_singular_tree(self, general):
+        assert boundary_homology(SEED_PATH) == dense_homology(SEED_PATH) == AbelianGroupDesc(1, ())
+        assert len(general) == 1
+
+    def test_cycle_with_singular_monodromy_block(self, general):
+        # the -2 cycle with positive edges is positive parabolic: eps M - I has rank 1
+        g = PlumbingGraph(tuple((f"v{i}", -2) for i in range(5)),
+                          tuple((f"v{i}", f"v{(i + 1) % 5}", 1) for i in range(5)))
+        assert boundary_homology(g) == dense_homology(g) == AbelianGroupDesc(2, (5,))
+        assert not general
+        # a ring with a tree on it and det Q = 0: the general route answers
+        hung = parse_graph("vertex a -4\nvertex b 1\nvertex c 1\nvertex t -4\n"
+                           "edge a b +\nedge b c +\nedge c a +\nedge t a +\n")
+        assert plumbing._form_det(hung) == 0
+        assert boundary_homology(hung) == dense_homology(hung) == AbelianGroupDesc(2, (19,))
+        assert len(general) == 1
 
 
 class TestJoinHypotheses:
@@ -680,8 +843,8 @@ class TestJoinHypotheses:
         assert det(IntMatrix.from_rows([[-2, 1], [1, -1]])) != 0
 
     def test_complement_matches_the_dense_cokernel(self):
-        # complement_qs3 reads the rank of the core that unit pivots leave; the
-        # oracle is the cokernel of the dense form of the tree minus v.  Random
+        # complement_qs3 reads det(Q - v) off the det pass; the oracle is the
+        # cokernel of the dense form of the tree minus v.  Random
         # trees with zero weights, non-unit stars cut at the hub (isolated
         # vertices left) or at a leaf, and the one-vertex trees, whose
         # complement is empty

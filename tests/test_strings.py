@@ -154,6 +154,7 @@ class TestRecognizeFamily:
         assert recognize_family((2, 2, 3)) is None
         assert recognize_family((3, 3)) is None
         assert recognize_family((1, 3)) is None
+        assert recognize_family(()) is None
 
     def test_roundtrip_is_exact(self):
         for params in family_parameter_space(2, 3):
