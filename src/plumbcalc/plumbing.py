@@ -2,8 +2,9 @@
 
 A plumbing graph has weighted vertices and signed edges; multi-edges and
 self-loops are allowed, and at most one independent cycle.  One breadth-first
-walk per component gives a spanning forest; a graph's component count and its
-cycle are read from that walk once and kept.  The boundary 3-manifold's first
+walk in name order gives a spanning forest, kept on the graph: its component
+count, its cycle, a self-join's tree path and the canonical key's vertex
+numbering are all read from that one walk.  The boundary 3-manifold's first
 homology is Z^{cycles} plus the cokernel of the intersection form Q, whose
 nonzeros come from the edge list: one leaf-to-root pass gives det Q and
 det(Q - v), and coker(Q) = Z/|det Q| when they are coprime; else the core
@@ -42,8 +43,8 @@ __all__ = [
 
 class PlumbingGraph(_Value):
     """Weighted graph with signed edges; immutable after construction.  Its
-    instance ``__dict__`` holds the fields and the cached ``_walk``; ``==``,
-    hash and repr read only the ``_fields``."""
+    instance ``__dict__`` holds the fields and the cached ``_forest`` and
+    ``_walk``; ``==``, hash and repr read only the ``_fields``."""
 
     vertices: tuple[tuple[str, int], ...]        # (name, weight) in declaration order
     edges: tuple[tuple[str, str, int], ...]      # (u, v, sign) with sign in {+1, -1}
@@ -70,12 +71,18 @@ class PlumbingGraph(_Value):
         raise DomainError("missing-vertex", f"no vertex named {name}")
 
     @cached_property
+    def _forest(self):
+        """The :func:`_spanning_forest`, walked on first use (a frozen graph
+        never changes)."""
+        return _spanning_forest(self)
+
+    @cached_property
     def _walk(self) -> tuple[int, tuple[tuple[str, int], ...]]:
-        """The component count and the :func:`_cycle` steps, from one walk on
-        first use (a frozen graph never changes).  Users need only a cyclic
-        order of the steps, so a builder may hand over a cycle it knows."""
-        parent, components, extra = _spanning_forest(self)
-        return components, _cycle(self, parent, extra)
+        """The component count and the :func:`_cycle` steps, read from the
+        forest.  Users need only a cyclic order of the steps, so a builder
+        may hand over a cycle it knows."""
+        parent, order, extra = self._forest
+        return len(order) - len(parent), _cycle(self, parent, extra)
 
     def component_count(self) -> int:
         return self._walk[0]
@@ -88,40 +95,36 @@ class PlumbingGraph(_Value):
         return len(self.edges) == len(self.vertices) - 1 and self.component_count() == 1
 
 
-def _adjacency(g: PlumbingGraph) -> dict[str, list[tuple[str, int]]]:
-    """Vertex -> (neighbor, edge index) per incident edge; a self-loop once."""
-    adj: dict[str, list[tuple[str, int]]] = {n: [] for n, _ in g.vertices}
-    for i, (u, v, _) in enumerate(g.edges):
+def _spanning_forest(g: PlumbingGraph):
+    """One breadth-first spanning tree per component, in name order: each
+    root is the least name not yet reached, and a vertex takes its edges by
+    neighbour name, then by edge index.  Returns the parent and tree edge of
+    every non-root vertex, the vertices in the order reached, and the set of
+    the indices of the edges left out of the trees."""
+    adj: dict[str, list[tuple[str, int]]] = {n: [] for n in sorted(g.names)}
+    for i, (u, v, _) in enumerate(g.edges):  # a self-loop once
         adj[u].append((v, i))
         if u != v:
             adj[v].append((u, i))
-    return adj
-
-
-def _spanning_forest(g: PlumbingGraph):
-    """One breadth-first spanning tree per component, rooted at its first
-    vertex in declaration order.  Returns the parent and tree edge of every
-    non-root vertex, the component count, and the set of the indices of the
-    edges left out of the trees."""
-    adj = _adjacency(g)
     parent: dict[str, tuple[str, int]] = {}
-    roots, extra = set(), set()
+    roots, order, extra = set(), [], set()
     for root in adj:
         if root in parent or root in roots:
             continue
         roots.add(root)
-        order = [root]
-        for x in order:
+        queue = [root]
+        for x in queue:
             up = parent[x][1] if x in parent else None
-            for y, i in adj[x]:
+            for y, i in sorted(adj[x]):
                 if i == up:
                     continue
                 if y in parent or y in roots:
                     extra.add(i)
                 else:
                     parent[y] = (x, i)
-                    order.append(y)
-    return parent, len(roots), extra
+                    queue.append(y)
+        order += queue
+    return parent, order, extra
 
 
 def _tree_path(parent: dict[str, tuple[str, int]], src: str, dst: str) -> list[tuple[str, int]]:
@@ -178,7 +181,8 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
 
     Graphs already in normal form are returned untouched; otherwise the sign
     product is preserved, the negative edge (if any) lands on the first
-    cycle edge in declaration order, and the new graph keeps the cached walk.
+    cycle edge in declaration order, and the new graph keeps the cached
+    forest and walk.
     """
     cycle = sorted(i for _, i in g._walk[1])
     negatives = [i for i in cycle if g.edges[i][2] < 0]
@@ -189,7 +193,7 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
         u, v, _ = edges[i]
         edges[i] = (u, v, -1 if i == cycle[0] and len(negatives) % 2 else 1)
     flipped = PlumbingGraph(g.vertices, tuple(edges))
-    flipped.__dict__["_walk"] = g._walk  # every edge keeps its ends and index
+    flipped.__dict__.update(_forest=g._forest, _walk=g._walk)  # every edge keeps its ends and index
     return flipped
 
 
@@ -433,7 +437,7 @@ def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
     g.weight(v1)
     g.weight(v2)
 
-    path = _tree_path(_spanning_forest(g)[0], v2, v1)
+    path = _tree_path(g._forest[0], v2, v1)
     edges = list(g.edges)
     for rank, (_, idx) in enumerate(path):
         u, v, _ = edges[idx]
@@ -471,20 +475,9 @@ def check_join_hypotheses(g: PlumbingGraph, v: str) -> JoinHypotheses:
 
 
 def canonical_key(g: PlumbingGraph) -> str:
-    """Deterministic value key: vertices renamed by a sorted breadth-first
-    traversal, then vertices and edges rendered in canonical order."""
-    adj = _adjacency(g)
-    new_id: dict[str, int] = {}
-    for start in sorted(g.names):
-        if start in new_id:
-            continue
-        new_id[start] = len(new_id)
-        order = [start]
-        for cur in order:
-            for nb in sorted(y for y, _ in adj[cur]):
-                if nb not in new_id:
-                    new_id[nb] = len(new_id)
-                    order.append(nb)
+    """Deterministic value key: vertices numbered in the order the name-ordered
+    walk reaches them, then vertices and edges rendered in canonical order."""
+    new_id = {n: i for i, n in enumerate(g._forest[1])}
     weights = dict(g.vertices)
     vparts = ",".join(f"v{i}:{weights[n]}" for n, i in new_id.items())
     eparts = ",".join(

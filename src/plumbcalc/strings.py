@@ -97,14 +97,12 @@ def dual_string(b) -> tuple[int, ...]:
     An all-2 string of length k dualizes to (k+1).  Otherwise write b as
     (2^[m_1], 3+n_1, 2^[m_2], 3+n_2, ..., 3+n_s, 2^[m_{s+1}]); the dual is
     (m_1+2, 2^[n_1], m_2+3, 2^[n_2], ..., m_s+3, 2^[n_s], m_{s+1}+2).
-    The second case is checked in integer arithmetic against the continued
+    Both cases are checked in integer arithmetic against the continued
     fraction: cf(b) = p/q implies cf(dual(b)) = p/(p-q), both reduced.
     """
     b = tuple(b)
     _check_dual_input(b)
-    if all(x == 2 for x in b):
-        return (len(b) + 1,)
-    result = _dual_rule(b)
+    result = _dual_rule(b) if max(b) > 2 else (len(b) + 1,)  # cf(2^[k]) = (k+1)/k
     # cf(s) = a/-c of word_to_matrix(s), coprime since ad - bc = 1
     m, dm = word_to_matrix(MonodromyWord(b)), word_to_matrix(MonodromyWord(result))
     if (dm.a, -dm.c) != (m.a, m.a + m.c):

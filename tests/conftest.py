@@ -317,6 +317,35 @@ def reference_self_join(g, v1, v2, sign):
     return PlumbingGraph(vertices, remapped)
 
 
+def reference_canonical_key(g):
+    """Reference canonical key: a breadth-first search of its own, from the
+    sorted names over each vertex's sorted neighbour names, with no use of
+    the graph's cached walk."""
+    adj = {n: [] for n, _ in g.vertices}
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        if u != v:
+            adj[v].append(u)
+    new_id = {}
+    for start in sorted(g.names):
+        if start in new_id:
+            continue
+        new_id[start] = len(new_id)
+        order = [start]
+        for cur in order:
+            for nb in sorted(adj[cur]):
+                if nb not in new_id:
+                    new_id[nb] = len(new_id)
+                    order.append(nb)
+    weights = dict(g.vertices)
+    vparts = ",".join(f"v{i}:{weights[n]}" for n, i in new_id.items())
+    eparts = ",".join(sorted(
+        f"v{min(new_id[u], new_id[v])}-v{max(new_id[u], new_id[v])}:{'+' if s > 0 else '-'}"
+        for u, v, s in g.edges
+    ))
+    return f"{vparts}|{eparts}" if eparts else vparts
+
+
 def reference_boundary_homology(g):
     """Reference boundary homology: the general route alone, the cokernel of
     the core that Q's unit pivots leave plus one Z per cycle, with no det,

@@ -31,6 +31,7 @@ from conftest import (
     hyperbolic_strings,
     median_cpu_ratio,
     reference_boundary_homology,
+    reference_canonical_key,
     reference_graph_verdict,
     reference_join,
     reference_join_hypotheses,
@@ -234,13 +235,14 @@ def dense_homology(g):
 def plumbings(draw, min_extra=0, max_extra=1):
     """Forests of 1 to 3 components with weights in -6..6, plus extra edges
     inside components, each closing one cycle: a chord, a second copy of a
-    tree edge, or a self-loop.  Declaration orders and edge directions are
-    shuffled, since they decide where the spanning trees are rooted and
+    tree edge, or a self-loop.  Names are laid along each tree in a random
+    order, since they decide where the spanning trees are rooted, and
+    declaration orders and edge directions are shuffled, since they decide
     which unit pivots the elimination takes."""
     signs = st.sampled_from((1, -1))
     components, vertices, edges = [], [], []
     for c in range(draw(st.integers(1, 3))):
-        names = [f"c{c}v{i}" for i in range(draw(st.integers(1, 8)))]
+        names = draw(st.permutations([f"c{c}v{i}" for i in range(draw(st.integers(1, 8)))]))
         components.append(names)
         vertices += [(name, draw(st.integers(-6, 6))) for name in names]
         edges += [(names[draw(st.integers(0, i - 1))], names[i], draw(signs))
@@ -373,6 +375,14 @@ class TestOneWalkPerGraph:
         assert len(walks) == 51
         assert g.is_tree() and len(g.vertices) == 4 + 2 * 50
         assert len(walks) == 51
+
+    def test_self_join_reads_the_cached_tree_path(self, walks):
+        # the tree path comes from the parse's forest, and the operand's
+        # descriptor numbers its vertices from the same walk
+        g = parse_graph(SEED_PATH_TEXT)
+        self_join(g, "a", "d", -1)
+        evaluate_graph(g)
+        assert walks == [g] and walks[0] is g
 
     def test_join_hypotheses_walk_no_complement(self, walks):
         # the complement of a vertex is read from the two lists without it,
@@ -915,7 +925,46 @@ class TestGroupCrossCheck:
         assert self.cross_check(g) == ((2, 2), (2, 2))
 
 
+# names whose sorted order is not the order they are drawn in
+KEY_NAMES = ("b", "a", "a'", "B", "v10", "v2", "v1", "z", "_")
+
+
+@st.composite
+def named_multigraphs(draw):
+    """1 to 9 vertices named from :data:`KEY_NAMES` in a random declaration
+    order, weights in -3..3, and up to 12 edges between any two vertices:
+    parallel edges, self-loops, isolated vertices, several components and
+    several cycles."""
+    names = draw(st.lists(st.sampled_from(KEY_NAMES), min_size=1, max_size=9, unique=True))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names)))
+    ends = st.sampled_from(names)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from((1, -1))), max_size=12))
+    return PlumbingGraph(tuple(zip(names, weights)), tuple(edges))
+
+
+def entry_or_code(g):
+    try:
+        return evaluate_graph(g)
+    except DomainError as err:
+        return err.code
+
+
 class TestCanonicalKey:
+    @settings(max_examples=500, deadline=None)
+    @given(named_multigraphs())
+    @example(PlumbingGraph((("b", -1), ("a", -2), ("c", -3), ("_", 0)),
+                           (("c", "b", 1), ("a", "c", -1), ("c", "a", 1), ("b", "b", 1))))
+    def test_matches_reference(self, g):
+        assert canonical_key(g) == reference_canonical_key(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(named_multigraphs(), st.data())
+    def test_declaration_order_invariance(self, g, data):
+        shuffled = PlumbingGraph(tuple(data.draw(st.permutations(g.vertices))),
+                                 tuple(data.draw(st.permutations(g.edges))))
+        assert canonical_key(shuffled) == canonical_key(g)
+        assert entry_or_code(shuffled) == entry_or_code(g)
+
     def test_name_invariance(self):
         g1 = path_graph([-1, -2, -3], names=["a", "b", "c"])
         g2 = path_graph([-1, -2, -3], names=["x", "y", "z"])

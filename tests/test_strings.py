@@ -109,6 +109,14 @@ class TestIntegerDualContract:
         assert cf_value(dual_string(a)) == Fraction(p, p - q)
         assert best_cpu_seconds(lambda: dual_string(a)) < 0.002
 
+    def test_all_twos_go_through_the_contract(self, monkeypatch):
+        real = strings.word_to_matrix  # the dual (4,) of (2, 2, 2) gets (5,)'s matrix
+        monkeypatch.setattr(strings, "word_to_matrix",
+                            lambda w: real(MonodromyWord((5,)) if w.coeffs == (4,) else w))
+        with pytest.raises(ContractError) as err:
+            dual_string((2, 2, 2))
+        assert err.value.code == "contract-dual-string"
+
     def test_broken_rule_fires_the_contract(self, monkeypatch, capsys):
         monkeypatch.setattr(strings, "_dual_rule", lambda b: b)  # a rule that returns its input
         with pytest.raises(ContractError) as err:
