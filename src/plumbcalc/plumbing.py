@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, prod
+from operator import itemgetter
 
 from . import intmat
 from .errors import _SIGNS, DomainError, _ints, _keyword_lines, _Value
@@ -401,23 +402,30 @@ def _identify(vertices, edges, v1: str, v2: str, walk) -> PlumbingGraph:
 def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGraph:
     """Join two plumbing trees by identifying ``v1`` and ``v2``; the merged
     vertex takes the sum of the two weights.  Vertices of ``g2`` that clash
-    with names in ``g1`` are renamed by appending primes."""
+    with names in ``g1`` are renamed by appending primes.  Only ``g2`` is
+    walked here: ``g1``'s tuples are sliced and concatenated as they stand."""
     if not g1.is_tree() or not g2.is_tree():
         raise DomainError("non-tree", "join needs two plumbing trees")
-    g1.weight(v1)
-    g2.weight(v2)
+    names = list(map(itemgetter(0), g1.vertices))
+    try:
+        i = names.index(v1)
+    except ValueError:
+        g1.weight(v1)  # raises missing-vertex
+    w2 = g2.weight(v2)
 
-    taken = set(g1.names)
-    rename: dict[str, str] = {}
+    taken = set(names)
+    rename = {v2: v1}
     for name, _ in g2.vertices:
         if name != v2:
-            rename[name] = _fresh_name(name, taken)
-            taken.add(rename[name])
-    rename[v2] = _fresh_name(v2, taken)  # a placeholder, merged into v1
+            rename[name] = fresh = _fresh_name(name, taken)
+            taken.add(fresh)
 
-    vertices = g1.vertices + tuple((rename[n], w) for n, w in g2.vertices)
+    vertices = (g1.vertices[:i] + ((v1, g1.vertices[i][1] + w2),) + g1.vertices[i + 1:]
+                + tuple((rename[n], w) for n, w in g2.vertices if n != v2))
     edges = g1.edges + tuple((rename[u], rename[v], s) for u, v, s in g2.edges)
-    return _identify(vertices, edges, v1, rename[v2], (1, ()))  # one component, no cycle
+    joined = PlumbingGraph(vertices, edges)
+    joined.__dict__["_walk"] = (1, ())  # one component, no cycle
+    return joined
 
 
 def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:

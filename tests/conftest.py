@@ -259,8 +259,9 @@ def reference_dualize(a):
 
 def reference_join(g1, v1, g2, v2):
     """Reference join: each ``g2`` vertex renamed in declaration order, ``v2``
-    mapped straight to ``v1``, the weights summed in place.  The library's
-    join merges through the same vertex identification as its self-join."""
+    mapped straight to ``v1``, the weights summed in place.  It walks both
+    operands in Python; the library's join slices ``g1``'s tuples around
+    ``v1`` and walks only ``g2``."""
     from plumbcalc.errors import DomainError
     from plumbcalc.plumbing import PlumbingGraph, _fresh_name
 

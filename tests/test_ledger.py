@@ -315,6 +315,19 @@ class TestDeepJoinChain:
         assert median_cpu_ratio(lambda: build.evaluate(f"J{2 * self.STEPS}"),
                                 lambda: build.evaluate(f"J{self.STEPS}")) < 2.5
 
+    def test_build_under_twice_validating_its_top_per_step(self):
+        # join walks only its right operand and slices the left one, so the
+        # chain costs about one PlumbingGraph check per level (about 1.3x the
+        # top's); a Python pass over the growing left operand takes it past 2.5
+        build, _ = self.chain(7)
+        top = build.graph(f"J{self.STEPS}")
+
+        def validate_top():
+            for _ in range(self.STEPS):
+                PlumbingGraph(top.vertices, top.edges)
+
+        assert median_cpu_ratio(lambda: self.chain(7), validate_top) < 2.0
+
 
 class TestMutualExclusivity:
     def test_certified_descriptors_have_square_torsion(self):

@@ -574,8 +574,9 @@ def at(names, where):
 
 
 class TestMergeMatchesReference:
-    """join and self-join end in one vertex identification; the parent's
-    separate merges (conftest) are the oracle.  ``v2`` sits first, in the
+    """join slices its left operand and renames only its right one, and
+    self-join ends in one vertex identification; the references in conftest,
+    which walk every operand, are the oracle.  ``v2`` sits first, in the
     middle or last in its tree's declaration order."""
 
     @settings(max_examples=300, deadline=None)
@@ -629,6 +630,59 @@ class TestMergeMatchesReference:
         if plumbing.is_pure_cycle(fresh):
             assert cycle_traversal(out) == cycle_traversal(fresh)
         assert evaluate_graph(out) == evaluate_graph(fresh)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("deep", ["left", "right", "mixed"])
+    def test_deep_chain(self, deep, seed):
+        # 120 joins of a chain and one of three reused trees named from
+        # CLASH_NAMES: as the left operand the chain keeps its names and each
+        # reused tree's names gather primes; as the right one its own do.
+        # v1 and v2 sit first, in the middle or last, and every level is
+        # checked against the reference on the same operands
+        rng = random.Random(seed)
+        pool = []
+        for _ in range(3):
+            names = rng.sample(CLASH_NAMES, rng.randint(2, 5))
+            edges = tuple((names[rng.randrange(i)], n, rng.choice((1, -1)))
+                          for i, n in enumerate(names) if i)
+            pool.append(PlumbingGraph(tuple((n, rng.randint(-6, 6)) for n in names), edges))
+        chain = pool[0]
+        for level in range(120):
+            small = rng.choice(pool)
+            left = deep == "left" or deep == "mixed" and rng.random() < 0.5
+            g1, g2 = (chain, small) if left else (small, chain)
+            v1, v2 = at(g1.names, rng.choice(POSITIONS)), at(g2.names, rng.choice(POSITIONS))
+            chain = join(g1, v1, g2, v2)
+            expected = reference_join(g1, v1, g2, v2)
+            assert format_graph(chain) == format_graph(expected), level
+            assert chain._walk == PlumbingGraph(chain.vertices, chain.edges)._walk
+        assert max(map(len, chain.names)) > 80  # the primes did pile up
+
+
+class TestJoinErrorOrder:
+    """The codes and messages of join and self-join, checked in this order:
+    self-join's sign, then its two vertices' distinctness, then the tree
+    test, then the vertices, ``v1`` first."""
+
+    CYCLE = self_join(SEED_PATH, "a", "d", 1)
+
+    @pytest.mark.parametrize("call, code, message", [
+        (lambda g: join(g.CYCLE, "x", SEED_PATH, "y"), "non-tree", "join needs two plumbing trees"),
+        (lambda g: join(SEED_PATH, "x", g.CYCLE, "y"), "non-tree", "join needs two plumbing trees"),
+        (lambda g: join(SEED_PATH, "x", SEED_PATH, "y"), "missing-vertex", "no vertex named x"),
+        (lambda g: join(SEED_PATH, "x", SEED_PATH, "a"), "missing-vertex", "no vertex named x"),
+        (lambda g: join(SEED_PATH, "a", SEED_PATH, "y"), "missing-vertex", "no vertex named y"),
+        (lambda g: self_join(g.CYCLE, "x", "x", 2), "bad-sign", "self-join sign must be +1 or -1"),
+        (lambda g: self_join(g.CYCLE, "x", "x", -1), "same-vertex",
+         "self-join needs two distinct vertices"),
+        (lambda g: self_join(g.CYCLE, "x", "y", -1), "non-tree", "self-join needs a plumbing tree"),
+        (lambda g: self_join(SEED_PATH, "x", "y", 1), "missing-vertex", "no vertex named x"),
+        (lambda g: self_join(SEED_PATH, "a", "y", 1), "missing-vertex", "no vertex named y"),
+    ])
+    def test_first_failed_check_names_the_error(self, call, code, message):
+        with pytest.raises(DomainError) as err:
+            call(self)
+        assert (err.value.code, str(err.value)) == (code, message)
 
 
 def seeded_graph(rng, n):
