@@ -69,11 +69,6 @@ class LedgerEntry(_Value):
         self.__dict__.update(descriptor=descriptor, status=status, reason=reason)
 
 
-def _word_descriptor(w: MonodromyWord) -> str:
-    canonical = MonodromyWord(lex_min_rotation(w.coeffs), w.sign)
-    return f"word:{format_word(canonical)}"
-
-
 def _graph_descriptor(g: PlumbingGraph) -> str:
     return f"graph:{pc.plumbing.canonical_key(g)}"
 
@@ -112,7 +107,8 @@ def _graph_verdict(g: PlumbingGraph) -> tuple[str, str]:
 
 def evaluate_word(w: MonodromyWord) -> LedgerEntry:
     """Certify or obstruct a torus bundle given by a monodromy word."""
-    return LedgerEntry(_word_descriptor(w), *_word_verdict(w))
+    canonical = MonodromyWord(lex_min_rotation(w.coeffs), w.sign)
+    return LedgerEntry(f"word:{format_word(canonical)}", *_word_verdict(w))
 
 
 def evaluate_graph(g: PlumbingGraph) -> LedgerEntry:
@@ -243,22 +239,13 @@ def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Constru
     return build, target or build.names()[-1]
 
 
-def _parse_parabolic_sugar(text: str) -> MonodromyWord | None:
-    """``-T^n`` / ``-T^-n`` shorthand: the exact word (∓n, 0) since
-    T^{∓n} S S = -T^{∓n}."""
-    if not text.startswith("-T^"):
-        return None
-    (n,) = _ints([text[3:]], "descriptor-syntax", f"bad parabolic exponent in {text!r}")
-    return MonodromyWord((-n, 0), 1)
-
-
 def evaluate_descriptor(text: str, base_dir: Path | None = None) -> LedgerEntry:
     """Evaluate a CLI descriptor: ``word:<word>``, ``-T^<n>``,
     ``graph:<file>``, or ``build:<file>``."""
     text = text.strip()
-    sugar = _parse_parabolic_sugar(text)
-    if sugar is not None:
-        return evaluate_word(sugar)
+    if text.startswith("-T^"):  # -T^n / -T^-n: the exact word (∓n, 0), T^{∓n} S S = -T^{∓n}
+        (n,) = _ints([text[3:]], "descriptor-syntax", f"bad parabolic exponent in {text!r}")
+        return evaluate_word(MonodromyWord((-n, 0), 1))
     kind, colon, rest = text.partition(":")
     if not colon or kind not in ("word", "graph", "build"):
         raise DomainError(

@@ -79,11 +79,18 @@ class PlumbingGraph(_Value):
 
     @cached_property
     def _walk(self) -> tuple[int, tuple[tuple[str, int], ...]]:
-        """The component count and the :func:`_cycle` steps, read from the
-        forest.  Users need only a cyclic order of the steps, so a builder
-        may hand over a cycle it knows."""
+        """The component count and the unique cycle, read from the forest.
+        The cycle is (vertex, edge index) steps, each edge leading to the
+        next step's vertex: across the one edge the forest left out, from its
+        first end, then along the tree path back to that end; it is empty
+        unless the graph has exactly one cycle.  Users need only a cyclic
+        order of the steps, so a builder may hand over a cycle it knows."""
         parent, order, extra = self._forest
-        return len(order) - len(parent), _cycle(self, parent, extra)
+        if len(extra) != 1:
+            return len(order) - len(parent), ()
+        (i,) = extra
+        u, x, _ = self.edges[i]
+        return len(order) - len(parent), ((u, i), *_tree_path(parent, x, u))
 
     def component_count(self) -> int:
         return self._walk[0]
@@ -306,26 +313,9 @@ def boundary_homology(g: PlumbingGraph) -> AbelianGroupDesc:
     return AbelianGroupDesc(coker.free_rank + cycles, coker.torsion_factors)
 
 
-def _cycle(g: PlumbingGraph, parent, extra) -> tuple[tuple[str, int], ...]:
-    """The unique cycle as (vertex, edge index) steps, each edge leading to
-    the next step's vertex: across the one edge in ``extra``, which
-    :func:`_spanning_forest` left out, from its first end, then along the tree
-    path back to that end.  Empty unless the graph has exactly one cycle."""
-    if len(extra) != 1:
-        return ()
-    (i,) = extra
-    u, x, _ = g.edges[i]
-    return ((u, i), *_tree_path(parent, x, u))
-
-
 def is_pure_cycle(g: PlumbingGraph) -> bool:
     """True iff the graph is a single cycle with every vertex on it."""
     return 0 < len(g.vertices) == len(g.edges) == len(g._walk[1])
-
-
-def _cycle_vertex_names(n: int) -> list[str]:
-    width = len(str(n - 1))
-    return [f"v{str(i).zfill(width)}" for i in range(n)]
 
 
 def cycle_plumbing_from_word(w: MonodromyWord) -> PlumbingGraph:
@@ -351,7 +341,8 @@ def cycle_plumbing_from_word(w: MonodromyWord) -> PlumbingGraph:
             "need a hyperbolic normal form (+, all >=2, some >=3) or a "
             "parabolic cycle word (-, all entries 2 or all -2, length >= 2)",
         )
-    names = _cycle_vertex_names(n)
+    width = len(str(n - 1))
+    names = [f"v{str(i).zfill(width)}" for i in range(n)]
     vertices = tuple((names[i], -a[i]) for i in range(n))
     edges = tuple((names[i], names[i + 1], 1) for i in range(n - 1))
     return PlumbingGraph(vertices, edges + ((names[-1], names[0], w.sign),))
@@ -370,8 +361,7 @@ def cycle_traversal(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
     names = [x for x, _ in g._walk[1]]
     order = min(lex_min_rotation(names), lex_min_rotation(names[::-1]))
     weights = dict(g.vertices)
-    odd = sum(s < 0 for _, _, s in g.edges) % 2  # as in _normalize_cycle_signs
-    return tuple(weights[name] for name in order), -1 if odd else 1
+    return tuple(weights[name] for name in order), prod(s for _, _, s in g.edges)
 
 
 def cycle_monodromy(g: PlumbingGraph) -> tuple[SL2Element, int]:
@@ -379,24 +369,6 @@ def cycle_monodromy(g: PlumbingGraph) -> tuple[SL2Element, int]:
     cycle traversal, with the product of edge signs reported separately."""
     weights, sign = cycle_traversal(g)
     return word_to_matrix(_framed_word(weights)), sign
-
-
-def _fresh_name(base: str, taken: set[str]) -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    return name
-
-
-def _identify(vertices, edges, v1: str, v2: str, walk) -> PlumbingGraph:
-    """Merge vertex ``v2`` into ``v1``, summing their weights, and move its
-    edge ends to ``v1`` (a sign is never a name); other edges keep their tuples."""
-    w2 = dict(vertices)[v2]
-    merged = tuple((n, w + w2) if n == v1 else (n, w) for n, w in vertices if n != v2)
-    moved = tuple(tuple(v1 if x == v2 else x for x in e) if v2 in e else e for e in edges)
-    identified = PlumbingGraph(merged, moved)
-    identified.__dict__["_walk"] = walk
-    return identified
 
 
 def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGraph:
@@ -417,7 +389,10 @@ def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGrap
     rename = {v2: v1}
     for name, _ in g2.vertices:
         if name != v2:
-            rename[name] = fresh = _fresh_name(name, taken)
+            fresh = name
+            while fresh in taken:
+                fresh += "'"
+            rename[name] = fresh
             taken.add(fresh)
 
     vertices = (g1.vertices[:i] + ((v1, g1.vertices[i][1] + w2),) + g1.vertices[i + 1:]
@@ -443,14 +418,20 @@ def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
     if not g.is_tree():
         raise DomainError("non-tree", "self-join needs a plumbing tree")
     g.weight(v1)
-    g.weight(v2)
+    w2 = g.weight(v2)
 
     path = _tree_path(g._forest[0], v2, v1)
     edges = list(g.edges)
     for rank, (_, idx) in enumerate(path):
         u, v, _ = edges[idx]
         edges[idx] = (u, v, sign if rank == 0 else 1)
-    return _identify(g.vertices, edges, v1, v2, (1, ((v1, path[0][1]), *path[1:])))
+    # v2 merges into v1 and its edge ends move there (a sign is never a name);
+    # other edges keep their tuples
+    vertices = tuple((n, w + w2) if n == v1 else (n, w) for n, w in g.vertices if n != v2)
+    moved = tuple(tuple(v1 if x == v2 else x for x in e) if v2 in e else e for e in edges)
+    joined = PlumbingGraph(vertices, moved)
+    joined.__dict__["_walk"] = (1, ((v1, path[0][1]), *path[1:]))
+    return joined
 
 
 class JoinHypotheses(_Value):

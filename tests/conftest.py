@@ -258,12 +258,13 @@ def reference_dualize(a):
 
 
 def reference_join(g1, v1, g2, v2):
-    """Reference join: each ``g2`` vertex renamed in declaration order, ``v2``
-    mapped straight to ``v1``, the weights summed in place.  It walks both
-    operands in Python; the library's join slices ``g1``'s tuples around
-    ``v1`` and walks only ``g2``."""
+    """Reference join: each ``g2`` vertex renamed in declaration order by the
+    fewest primes that make it free, ``v2`` mapped straight to ``v1``, the
+    weights summed in place.  It walks both operands in Python; the
+    library's join slices ``g1``'s tuples around ``v1`` and walks only
+    ``g2``."""
     from plumbcalc.errors import DomainError
-    from plumbcalc.plumbing import PlumbingGraph, _fresh_name
+    from plumbcalc.plumbing import PlumbingGraph
 
     if not g1.is_tree() or not g2.is_tree():
         raise DomainError("non-tree", "join needs two plumbing trees")
@@ -276,7 +277,10 @@ def reference_join(g1, v1, g2, v2):
         if name == v2:
             rename[name] = v1
             continue
-        fresh = _fresh_name(name, taken)
+        primes = 0
+        while name + "'" * primes in taken:
+            primes += 1
+        fresh = name + "'" * primes
         rename[name] = fresh
         taken.add(fresh)
 

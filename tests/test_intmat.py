@@ -869,7 +869,7 @@ def _form(weights, edges):
     return IntMatrix(n, n, tuple(q))
 
 
-def _cycle(n, weight):
+def _cycle_form(n, weight):
     return _form([weight] * n, [(i, (i + 1) % n, 1) for i in range(n)])
 
 
@@ -927,7 +927,7 @@ class TestSparseKernel:
     def test_zero_weight_cycle_takes_only_congruence_steps(self):
         # no diagonal is ever live: each pivot is 2 a_ij after the congruence,
         # and the dense kernel takes the same steps (a row step alone gives a_ij)
-        m = _cycle(100, 0)
+        m = _cycle_form(100, 0)
         minors = _kernel(m)
         assert len(minors) == 99 and all(0 < abs(x) <= 2 for x in minors)
         assert minors == _bareiss(m.to_rows(), symmetric=True)[0]
@@ -962,7 +962,7 @@ class TestSparseKernel:
 
     @pytest.mark.parametrize("x", [1, -1])
     def test_sparse_non_symmetric(self, x):
-        rows = _cycle(100, -3).to_rows()
+        rows = _cycle_form(100, -3).to_rows()
         rows[0][1] += x  # 2: a value no longer symmetric; 0: the pattern
         m = mat(rows)
         minors, sign = _bareiss(m.to_rows())
@@ -972,7 +972,7 @@ class TestSparseKernel:
         assert err.value.code == "non-symmetric"
 
     def test_routing(self, monkeypatch):
-        sparse = [_cycle(100, -3), _cycle(_SPARSE_MIN, 0)]  # 3n nonzeros
+        sparse = [_cycle_form(100, -3), _cycle_form(_SPARSE_MIN, 0)]  # 3n nonzeros
         expected = [(det(m), signature(m), rank(m)) for m in sparse]
         dense = mat([[(i + j) % 5 - 2 or 3 for j in range(5)] for i in range(5)])
         path = _form([-2] * 40, [(i, i + 1, 1) for i in range(39)])
@@ -983,7 +983,7 @@ class TestSparseKernel:
 
         monkeypatch.setattr(intmat, "_bareiss", no_bareiss)
         assert [(det(m), signature(m), rank(m)) for m in sparse] == expected
-        for m in (dense, path, _cycle(_SPARSE_MIN - 1, 0), chord):
+        for m in (dense, path, _cycle_form(_SPARSE_MIN - 1, 0), chord):
             assert m.is_symmetric
             for fn in (det, signature, rank):
                 with pytest.raises(AssertionError):
@@ -997,7 +997,7 @@ class TestSparseKernel:
             arms = range(1, n, 2)
             star = _form([-2] + [-2, -1] * (n // 2),
                          [(0, i, 1) for i in arms] + [(i, i + 1, 1) for i in arms])
-            for m in (path, _cycle(n, -3), _cycle(n, -2), star):
+            for m in (path, _cycle_form(n, -3), _cycle_form(n, -2), star):
                 assert _sparse_rows(m) is not None
                 assert smith_diagonal(m) == snf(m).diagonal()
 
@@ -1026,7 +1026,7 @@ class TestSparseKernel:
     def test_cpu_ratio_on_800_cycle(self):
         # the word 3,3,...,3: O(n) pivots after one scan of the n^2 entries,
         # against Bareiss's O(n^2) work on the same matrix
-        m = _cycle(800, -3)
+        m = _cycle_form(800, -3)
         assert median_cpu_ratio(lambda: _bareiss(m.to_rows()), lambda: det(m)) >= 2.5
         assert median_cpu_ratio(lambda: _bareiss(m.to_rows(), symmetric=True),
                                 lambda: signature(m)) >= 2.5

@@ -833,6 +833,31 @@ class TestAgainstTheGeneralRoute:
             entry = evaluate_graph(g)
             assert (entry.status, entry.reason) == reference_graph_verdict(g), format_graph(g)
 
+    def test_pure_cycles(self):
+        # the pure-cycle branch reads the group off the 2x2 monodromy, not Q: cycles of
+        # 1-8 vertices in random name order with random edge signs, so self-loops of both
+        # signs, and 2-cycles whose two edges cancel, leaving Q's off-diagonal entry 0
+        rng, ranks, statuses, kinds = random.Random(3104), set(), set(), set()
+        for k in range(4000):
+            n = k % 8 + 1
+            names = rng.sample([f"c{i}" for i in range(n)], n)
+            signs = [rng.choice((1, -1)) for _ in names]
+            if n == 2 and rng.random() < 0.5:
+                signs = rng.sample((1, -1), 2)
+            edges = tuple((names[i], names[(i + 1) % n], s) for i, s in enumerate(signs))
+            g = PlumbingGraph(tuple((x, rng.randint(-4, 4)) for x in names), edges)
+            assert plumbing.is_pure_cycle(g)
+            homology = boundary_homology(g)
+            assert homology == reference_boundary_homology(g), format_graph(g)
+            entry = evaluate_graph(g)
+            assert (entry.status, entry.reason) == reference_graph_verdict(g), format_graph(g)
+            ranks.add(homology.free_rank)
+            statuses.add(entry.status)
+            kinds.add(n if n > 2 else (n, sum(signs)))
+        assert ranks == {1, 2, 3}
+        assert statuses == {"bounds-QSB", "obstructed", "unknown"}
+        assert {(1, 1), (1, -1), (2, 0)} <= kinds
+
     def test_join_hypotheses(self):
         rng, seen = random.Random(3103), set()
         trees = [seeded_tree(rng, rng.randint(1, 40)) for _ in range(300)]
