@@ -3,10 +3,12 @@ shares (``intmat`` exports :func:`is_perfect_square`), and the token readers
 that every text format goes through: :func:`_ints` for integers,
 :func:`_parse_list` for comma lists and :func:`_keyword_lines` for line formats."""
 
+import re
 from math import isqrt
 from operator import attrgetter
 
 __all__ = ["DomainError", "ContractError"]
+_INT_LIST = r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*"  # comma-joined integer tokens; re caches it
 
 
 class DomainError(ValueError):
@@ -64,9 +66,13 @@ def is_perfect_square(n: int) -> bool:
     return s * s == n
 
 
-def _ints(tokens, code: str, detail: str) -> list[int]:
-    """The integers ``tokens`` spell; a bad one (or one past CPython's
-    digit limit) fails with ``code`` and the message ``<detail>: <reason>``."""
+def _ints(tokens: list[str], code: str, detail: str) -> list[int]:
+    """The integers ``tokens`` spell, each ASCII ``[+-]?[0-9]+`` (one match over
+    them all; ``int()`` also reads ``1_0``, non-ASCII digits and padding); a bad
+    one, or one past CPython's digit limit, fails with ``code`` and ``<detail>: <reason>``."""
+    if tokens and not re.fullmatch(_INT_LIST, ",".join(tokens)):
+        bad = next(t for t in tokens if not re.fullmatch(_INT_LIST, t))
+        raise DomainError(code, f"{detail}: not an integer: {bad!r}")
     try:
         return list(map(int, tokens))
     except ValueError as exc:

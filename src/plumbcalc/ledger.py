@@ -93,12 +93,17 @@ def _word_verdict(w: MonodromyWord) -> tuple[str, str]:
     return _square_fallback(abs(t - 2))
 
 
-def _graph_verdict(g: PlumbingGraph) -> tuple[str, str]:
-    if pc.plumbing.is_pure_cycle(g):
+def _graph_verdict(g: PlumbingGraph, minors: tuple[int, int] | None = None) -> tuple[str, str]:
+    """``minors``, (det Q, det(Q - v)) at a vertex v of a tree, spare it a pass."""
+    if minors is None and pc.plumbing.is_pure_cycle(g):
         # pure cycle: defer to the word-level rules via the traversal word
         return _word_verdict(_framed_word(*pc.plumbing.cycle_traversal(g)))
-    if g.cycle_count < 2 and (q_det := pc.plumbing._form_det(g)):
+    q_det, minor = minors or (pc.plumbing._form_minors(g.vertices, g.edges, None)
+                              if g.cycle_count < 2 else (0, 0))
+    if q_det:
         return _square_fallback(abs(q_det))  # coker(Q) is finite, of order |det Q|
+    if minor in (1, -1) and g.is_tree():  # a unit (n-1)-minor: coker(Q) = Z
+        return STATUS_BOUNDS, "s1xs2-base(homology-level)"
     homology = pc.plumbing.boundary_homology(g)  # raises multi-cycle past one cycle
     if homology == pc.intmat.AbelianGroupDesc(1, ()) and g.is_tree():
         return STATUS_BOUNDS, "s1xs2-base(homology-level)"
@@ -163,26 +168,27 @@ class Construction(_Value):
         """Ledger verdict for a named graph, chaining provenance through the
         recorded construction steps.
 
-        An operand is evaluated only when a rule consults its verdict, and
-        pending steps wait on an explicit stack, so deep histories do not
-        recurse.  Only the answer gets a descriptor.
+        An operand is evaluated only when a rule consults its verdict or its
+        minors, and pending steps wait on an explicit stack, so deep histories
+        do not recurse.  Only the answer gets a descriptor.
         """
         graph = self.graph(name)
-        memo: dict[str, tuple[str, str]] = {}
+        memo: dict = {}  # a name's verdict, a (name, vertex) pair's minors
         stack = [(name, self._rules(name))]
-        verdict = None
+        value = None
         while stack:
-            n, rules = stack[-1]
+            key, rules = stack[-1]
             try:
-                operand = rules.send(verdict)
+                operand = rules.send(value)
             except StopIteration as done:
                 stack.pop()
-                verdict = memo[n] = done.value
+                value = memo[key] = done.value
                 continue
-            verdict = memo.get(operand)
-            if verdict is None:
-                stack.append((operand, self._rules(operand)))
-        return LedgerEntry(_graph_descriptor(graph), *verdict)
+            value = memo.get(operand)
+            if value is None:
+                stack.append((operand, self._minors(*operand) if isinstance(operand, tuple)
+                              else self._rules(operand)))
+        return LedgerEntry(_graph_descriptor(graph), *value)
 
     def _rules(self, name: str):
         """The rules for one step, as a generator: it yields the name of each
@@ -199,10 +205,33 @@ class Construction(_Value):
                 other_status, other_reason = yield other
                 if other_status != STATUS_BOUNDS:
                     continue
-                if pc.plumbing.check_join_hypotheses(self.graph(pivot), pivot_v).all_pass:
+                # check_join_hypotheses: det(Q - pivot_v) != 0 and an S^1 x S^2 seed
+                q_det, minor = yield pivot, pivot_v
+                if minor and _graph_verdict(self.graph(pivot), (q_det, minor))[0] == STATUS_BOUNDS:
                     reason = f"join-transfer({pivot}-hypotheses;homology-level)<-{other_reason}"
                     return STATUS_BOUNDS, reason
+            return _graph_verdict(graph, (yield name, v1))
         return _graph_verdict(graph)
+
+    def _minors(self, name: str, v: str):
+        """(det Q, det(Q - v)) of a step's graph, a generator like :meth:`_rules`
+        yielding the (name, vertex) pairs it reads.  For J = join(L at v1, R at v2),
+        det J = det L det(R - v2) + det(L - v1) det R, det(J - v1) = det(L - v1)
+        det(R - v2), and at u in R the first with R - u for R; else one pass."""
+        graph, (kind, *args) = self._steps[name]
+        if kind == "join":
+            left, v1, right, v2 = args
+            tail = () if v == v1 else [  # J lists R's other vertices last
+                n for n, _ in graph.vertices[len(self.graph(left).vertices):]]
+            if v == v1 or v in tail:
+                (l_det, l_minor), (r_det, r_minor) = (yield left, v1), (yield right, v2)
+                r = self.graph(right)
+                u = v2 if v == v1 else [n for n, _ in r.vertices if n != v2][tail.index(v)]
+                # (det(R - u), det(R - u - v2)): (det(R - v2), 0) at v2, else a pass over R - u
+                y, x = (r_minor, 0) if u == v2 else pc.plumbing._form_minors(
+                    [p for p in r.vertices if p[0] != u], [e for e in r.edges if u not in e], v2)
+                return l_det * r_minor + l_minor * r_det, l_det * x + l_minor * y
+        return pc.plumbing._form_minors(graph.vertices, graph.edges, v)
 
 
 def parse_construction(text: str, base_dir: Path | None = None) -> tuple[Construction, str]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, prod
-from operator import itemgetter
 
 from . import intmat
 from .errors import _SIGNS, DomainError, _ints, _keyword_lines, _Value
@@ -44,8 +43,8 @@ __all__ = [
 
 class PlumbingGraph(_Value):
     """Weighted graph with signed edges; immutable after construction.  Its
-    instance ``__dict__`` holds the fields and the cached ``_forest`` and
-    ``_walk``; ``==``, hash and repr read only the ``_fields``."""
+    instance ``__dict__`` holds the fields and the cached ``_forest``, ``_walk``
+    and ``_index``; ``==``, hash and repr read only the ``_fields``."""
 
     vertices: tuple[tuple[str, int], ...]        # (name, weight) in declaration order
     edges: tuple[tuple[str, str, int], ...]      # (u, v, sign) with sign in {+1, -1}
@@ -60,6 +59,11 @@ class PlumbingGraph(_Value):
             if s not in (1, -1):
                 raise DomainError("bad-edge-sign", "edge signs must be +1 or -1")
         self.__dict__.update(vertices=vertices, edges=edges)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Name -> position in ``vertices``; a join hands it on to its result."""
+        return {n: i for i, (n, _) in enumerate(self.vertices)}
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -101,6 +105,13 @@ class PlumbingGraph(_Value):
 
     def is_tree(self) -> bool:
         return len(self.edges) == len(self.vertices) - 1 and self.component_count() == 1
+
+
+def _unchecked(vertices, edges, **cached) -> PlumbingGraph:
+    """A graph from checked operands, with the caches handed over: no check runs."""
+    g = object.__new__(PlumbingGraph)
+    g.__dict__.update(vertices=vertices, edges=edges, **cached)
+    return g
 
 
 def _spanning_forest(g: PlumbingGraph):
@@ -200,9 +211,8 @@ def _normalize_cycle_signs(g: PlumbingGraph) -> PlumbingGraph:
     for i in cycle:  # the sign product is negative iff the negatives are odd
         u, v, _ = edges[i]
         edges[i] = (u, v, -1 if i == cycle[0] and len(negatives) % 2 else 1)
-    flipped = PlumbingGraph(g.vertices, tuple(edges))
-    flipped.__dict__.update(_forest=g._forest, _walk=g._walk)  # every edge keeps its ends and index
-    return flipped
+    # every edge keeps its ends and index, so the walk holds
+    return _unchecked(g.vertices, tuple(edges), _forest=g._forest, _walk=g._walk)
 
 
 def _form_rows(vertices, edges) -> list[dict[int, int]]:
@@ -281,14 +291,15 @@ def _form_det(g: PlumbingGraph) -> int:
 
 
 def intersection_form(g: PlumbingGraph) -> IntMatrix:
-    """Symmetric linking matrix Q, filled from :func:`_form_rows`; ``too-large``,
-    with nothing built, past ``intmat._MAX_CERTIFICATE`` entries."""
+    """Symmetric linking matrix Q, each edge's sign at both its positions (a
+    self-loop's twice); ``too-large`` past ``intmat._MAX_CERTIFICATE`` entries."""
     if (n := len(g.vertices)) ** 2 > (cap := intmat._MAX_CERTIFICATE):
         raise DomainError("too-large", f"a {n}-vertex form exceeds {cap} entries")
-    q = [0] * (n * n)
-    for i, row in enumerate(_form_rows(g.vertices, g.edges)):
-        for j, x in row.items():
-            q[i * n + j] = x
+    q, index = [0] * (n * n), g._index
+    q[::n + 1] = [w for _, w in g.vertices]
+    for u, v, s in g.edges:
+        q[index[u] * n + index[v]] += s
+        q[index[v] * n + index[u]] += s
     return IntMatrix(n, n, tuple(q))
 
 
@@ -375,32 +386,27 @@ def join(g1: PlumbingGraph, v1: str, g2: PlumbingGraph, v2: str) -> PlumbingGrap
     """Join two plumbing trees by identifying ``v1`` and ``v2``; the merged
     vertex takes the sum of the two weights.  Vertices of ``g2`` that clash
     with names in ``g1`` are renamed by appending primes.  Only ``g2`` is
-    walked here: ``g1``'s tuples are sliced and concatenated as they stand."""
+    walked: ``g1``'s tuples are sliced as they stand, and its name index,
+    which finds ``v1`` and checks the names ``g2`` adds, passes to the result."""
     if not g1.is_tree() or not g2.is_tree():
         raise DomainError("non-tree", "join needs two plumbing trees")
-    names = list(map(itemgetter(0), g1.vertices))
-    try:
-        i = names.index(v1)
-    except ValueError:
+    if (i := (index := g1._index).get(v1)) is None:
         g1.weight(v1)  # raises missing-vertex
     w2 = g2.weight(v2)
 
-    taken = set(names)
+    del g1.__dict__["_index"]  # handed on, not copied: the result extends it
     rename = {v2: v1}
     for name, _ in g2.vertices:
         if name != v2:
             fresh = name
-            while fresh in taken:
+            while fresh in index:
                 fresh += "'"
-            rename[name] = fresh
-            taken.add(fresh)
+            rename[name], index[fresh] = fresh, len(index)
 
     vertices = (g1.vertices[:i] + ((v1, g1.vertices[i][1] + w2),) + g1.vertices[i + 1:]
                 + tuple((rename[n], w) for n, w in g2.vertices if n != v2))
     edges = g1.edges + tuple((rename[u], rename[v], s) for u, v, s in g2.edges)
-    joined = PlumbingGraph(vertices, edges)
-    joined.__dict__["_walk"] = (1, ())  # one component, no cycle
-    return joined
+    return _unchecked(vertices, edges, _walk=(1, ()), _index=index)  # one component, no cycle
 
 
 def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
@@ -429,9 +435,7 @@ def self_join(g: PlumbingGraph, v1: str, v2: str, sign: int) -> PlumbingGraph:
     # other edges keep their tuples
     vertices = tuple((n, w + w2) if n == v1 else (n, w) for n, w in g.vertices if n != v2)
     moved = tuple(tuple(v1 if x == v2 else x for x in e) if v2 in e else e for e in edges)
-    joined = PlumbingGraph(vertices, moved)
-    joined.__dict__["_walk"] = (1, ((v1, path[0][1]), *path[1:]))
-    return joined
+    return _unchecked(vertices, moved, _walk=(1, ((v1, path[0][1]), *path[1:])))
 
 
 class JoinHypotheses(_Value):

@@ -6,6 +6,7 @@ from itertools import product
 from time import process_time
 
 import pytest
+from hypothesis import strategies as st
 
 from plumbcalc.intmat import IntMatrix
 
@@ -293,6 +294,24 @@ def reference_join(g1, v1, g2, v2):
     return PlumbingGraph(tuple(vertices), tuple(edges))
 
 
+# names that clash across two trees and collide with each other's primes
+CLASH_NAMES = [base + "'" * k for base in "abc" for k in range(3)]
+
+
+@st.composite
+def clashing_trees(draw, min_size=1):
+    """Trees of min_size to 7 vertices named from :data:`CLASH_NAMES` in a
+    random declaration order, with weights in -6..6 and shuffled edges."""
+    from plumbcalc.plumbing import PlumbingGraph
+
+    names = draw(st.lists(st.sampled_from(CLASH_NAMES), min_size=min_size, max_size=7, unique=True))
+    weights = draw(st.lists(st.integers(-6, 6), min_size=len(names), max_size=len(names)))
+    edges = [(names[draw(st.integers(0, i - 1))], names[i], draw(st.sampled_from((1, -1))))
+             for i in range(1, len(names))]
+    edges = [(v, u, s) if draw(st.booleans()) else (u, v, s) for u, v, s in edges]
+    return PlumbingGraph(tuple(zip(names, weights)), tuple(draw(st.permutations(edges))))
+
+
 def reference_self_join(g, v1, v2, sign):
     """Reference self-join: the tree path's signs fixed, then ``v2`` dropped
     and every edge end at it remapped to ``v1``."""
@@ -393,3 +412,44 @@ def reference_graph_verdict(g):
     if homology == AbelianGroupDesc(1, ()) and g.is_tree():
         return ledger.STATUS_BOUNDS, "s1xs2-base(homology-level)"
     return ledger._square_fallback(homology.torsion_order)
+
+
+def reference_construction_verdicts(build):
+    """The whole-graph oracle of ``Construction.evaluate``: every step's
+    (status, reason), bottom-up in step order.  A join's hypotheses come from
+    ``check_join_hypotheses`` on its operand and each graph's own verdict from
+    a pass over the whole graph (det Q, then boundary homology when it is 0),
+    so a chain costs quadratic time; the ledger reads join summaries."""
+    from plumbcalc import ledger, plumbing
+    from plumbcalc.intmat import AbelianGroupDesc
+    from plumbcalc.sl2 import _framed_word
+
+    def own(g):
+        if plumbing.is_pure_cycle(g):
+            return ledger._word_verdict(_framed_word(*plumbing.cycle_traversal(g)))
+        if g.cycle_count < 2 and (q_det := plumbing._form_det(g)):
+            return ledger._square_fallback(abs(q_det))
+        homology = plumbing.boundary_homology(g)
+        if homology == AbelianGroupDesc(1, ()) and g.is_tree():
+            return ledger.STATUS_BOUNDS, "s1xs2-base(homology-level)"
+        return ledger._square_fallback(homology.torsion_order)
+
+    verdicts = {}
+    for name in build.names():
+        graph, step = build._steps[name]
+        verdict = None
+        if step[0] == "selfjoin":
+            status, reason = verdicts[step[1]]
+            if status == ledger.STATUS_BOUNDS and (q_det := plumbing._form_det(graph)):
+                verdict = ledger.STATUS_BOUNDS, f"self-join-nonsingular(det={q_det})<-{reason}"
+        elif step[0] == "join":
+            _, left, v1, right, v2 = step
+            for pivot, pivot_v, other in ((left, v1, right), (right, v2, left)):
+                status, reason = verdicts[other]
+                if (status == ledger.STATUS_BOUNDS
+                        and plumbing.check_join_hypotheses(build.graph(pivot), pivot_v).all_pass):
+                    verdict = (ledger.STATUS_BOUNDS,
+                               f"join-transfer({pivot}-hypotheses;homology-level)<-{reason}")
+                    break
+        verdicts[name] = verdict or own(graph)
+    return verdicts

@@ -764,8 +764,10 @@ _NO_DIGIT_LIMIT = pytest.mark.skipif(
 
 
 class TestBadTokenInEveryFormat:
-    """A non-integer token, and one past CPython's 4300-digit ``int()``
-    limit, fails in every text format with that format's syntax code."""
+    """A non-integer token, one that ``int()`` alone would read (digit-group
+    underscores, a non-ASCII digit, padding inside a comma list or after
+    ``=`` or ``^``) and one past CPython's 4300-digit ``int()`` limit fail in
+    every text format with that format's syntax code."""
 
     # written to the working directory; TOKEN stands for the bad token
     FILES = {
@@ -793,10 +795,20 @@ class TestBadTokenInEveryFormat:
                   ["obstruct", "attach", "ok.mat", "--kappa", "1,TOKEN", "--framing", "0"]),
     }
 
-    @pytest.mark.parametrize("token", ["1.5", pytest.param("9" * 5000, marks=_NO_DIGIT_LIMIT)],
-                             ids=["non-integer", "past-digit-limit"])
+    @pytest.mark.parametrize("token", [
+        "1.5", "1_0", "\u0663", pytest.param("9" * 5000, marks=_NO_DIGIT_LIMIT),
+    ], ids=["non-integer", "underscore", "non-ascii-digit", "past-digit-limit"])
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_syntax_code(self, capsys, tmp_path, monkeypatch, fmt, token):
+        self.check(capsys, tmp_path, monkeypatch, fmt, token)
+
+    # a whitespace-split format never sees a padded token
+    @pytest.mark.parametrize("fmt", ["dual-string", "family-k", "family-x", "kappa",
+                                     "mono-word", "parabolic"])
+    def test_padded_token(self, capsys, tmp_path, monkeypatch, fmt):
+        self.check(capsys, tmp_path, monkeypatch, fmt, " 3")
+
+    def check(self, capsys, tmp_path, monkeypatch, fmt, token):
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text.replace("TOKEN", token), encoding="utf-8")
         monkeypatch.chdir(tmp_path)

@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plumbcalc.ledger as ledger
 import plumbcalc.plumbing as plumbing
@@ -29,11 +31,14 @@ from plumbcalc.sl2 import MonodromyWord
 from plumbcalc.strings import FamilyParams, family_string, format_int_string
 
 from conftest import (
+    CLASH_NAMES,
     best_cpu_seconds,
     brute_lex_min_rotation,
+    clashing_trees,
     family_parameter_space,
     hyperbolic_strings,
     median_cpu_ratio,
+    reference_construction_verdicts,
 )
 
 
@@ -316,9 +321,10 @@ class TestDeepJoinChain:
                                 lambda: build.evaluate(f"J{self.STEPS}")) < 2.5
 
     def test_build_under_twice_validating_its_top_per_step(self):
-        # join walks only its right operand and slices the left one, so the
-        # chain costs about one PlumbingGraph check per level (about 1.3x the
-        # top's); a Python pass over the growing left operand takes it past 2.5
+        # join walks only its right operand, slices the left one and takes
+        # over its name index, so the chain costs about half of one
+        # PlumbingGraph check of the top per level (about 0.5x); a Python pass
+        # over the growing left operand takes it past 2.5
         build, _ = self.chain(7)
         top = build.graph(f"J{self.STEPS}")
 
@@ -327,6 +333,166 @@ class TestDeepJoinChain:
                 PlumbingGraph(top.vertices, top.edges)
 
         assert median_cpu_ratio(lambda: self.chain(7), validate_top) < 2.0
+
+
+def torsion_star(names):
+    """The star (-1; -2, 0, 0) on four names, hub first: det 0 with torsion,
+    coker(Q) = Z + Z/2, and det(Q - v) = 2 at its 0-leaves."""
+    return PlumbingGraph(tuple(zip(names, (-1, -2, 0, 0))),
+                         tuple((names[0], leaf, 1) for leaf in names[1:4]))
+
+
+def random_seed(rng, names, top=1):
+    """A seed on ``names``: a tree with weights in -3..top and random edge
+    signs, a path with continued fraction 0 (det 0, the S^1 x S^2 seed), a
+    lone 0-vertex or, on four names or more, the :func:`torsion_star`."""
+    kind = rng.random()
+    if kind < 0.2:
+        return PlumbingGraph(((names[0], 0),), ())
+    if kind < 0.3 and len(names) >= 4:
+        return torsion_star(names)
+    weights = seed_path(rng, len(names)) if kind < 0.6 else [rng.randint(-3, top) for _ in names]
+    parents = [i - 1 for i in range(len(names))] if kind < 0.6 else [
+        rng.randrange(i) if i else -1 for i in range(len(names))]
+    return PlumbingGraph(tuple(zip(names, weights)), tuple(
+        (names[p], names[i], 1 if kind < 0.6 else rng.choice((1, -1)))
+        for i, p in enumerate(parents) if i))
+
+
+def random_construction(rng, joins):
+    """Seeds named from CLASH_NAMES, ``joins`` joins of a random earlier tree
+    at any vertex to a fresh seed (two times in three) or to another earlier
+    tree, at any vertex, then three self-joins of random trees on top."""
+    build, trees = Construction(), []
+
+    def seed():
+        trees.append(f"S{len(trees)}")
+        build.add_tree(trees[-1], random_seed(rng, rng.sample(CLASH_NAMES, rng.randint(1, 5))))
+        return trees[-1]
+
+    seed()
+    for i in range(joins):
+        left = rng.choice(trees)
+        right = seed() if rng.random() < 2 / 3 else rng.choice(trees)
+        build.add_join(f"J{i}", left, rng.choice(build.graph(left).names),
+                       right, rng.choice(build.graph(right).names))
+        trees.append(f"J{i}")
+    for i in range(3):
+        src = rng.choice([t for t in trees if len(build.graph(t).vertices) > 1] or [None])
+        if src is not None:
+            v1, v2 = rng.sample(build.graph(src).names, 2)
+            build.add_self_join(f"G{i}", src, v1, v2, rng.choice((1, -1)))
+    return build
+
+
+def long_chain(rng, joins):
+    """A chain C_0, ..., C_joins over fresh seeds of one to three vertices:
+    C_i joins C_(i-1), at its merged vertex, its last vertex or any vertex,
+    to the seed S_i, and one time in ten C_(i-1) is the right operand.  Its
+    random trees have weights in -3..-1: a singular level with no unit minor
+    at its join vertex goes to boundary homology, whose Smith reduction on
+    a chain of weights up to 1 took 20 s for some seeds; the constructions
+    of :func:`random_construction` cover that route."""
+    build = Construction()
+    build.add_tree("C0", random_seed(rng, ["c0", "c1"]))
+    for i in range(1, joins + 1):
+        names = [f"s{i}_{j}" for j in range(rng.randint(1, 3))]
+        names = build.add_tree(f"S{i}", random_seed(rng, names, -1)).names
+        chain, step = build._steps[f"C{i - 1}"]
+        where = rng.random()
+        v = (step[2] if where < 0.45 and step[0] == "join" else
+             chain.vertices[-1][0] if where < 0.9 else rng.choice(chain.names))
+        if rng.random() < 0.1:
+            build.add_join(f"C{i}", f"S{i}", rng.choice(names), f"C{i - 1}", v)
+        else:
+            build.add_join(f"C{i}", f"C{i - 1}", v, f"S{i}", rng.choice(names))
+    return build
+
+
+@st.composite
+def constructions(draw):
+    """Up to three seeds, trees from ``clashing_trees`` or det-0 ones (a lone
+    0-vertex, the seed path, the torsion star), up to five joins of any two
+    trees at any of their vertices, and up to two self-joins on top."""
+    build, trees = Construction(), []
+    det0 = [PlumbingGraph((("a", 0),), ()), path_graph([-1, -2, -2, -1]),
+            torsion_star(["a", "b", "c", "a'"])]
+    for i in range(draw(st.integers(1, 3))):
+        trees.append(f"S{i}")
+        build.add_tree(trees[-1], draw(clashing_trees() | st.sampled_from(det0)))
+    for i in range(draw(st.integers(1, 5))):
+        left, right = draw(st.sampled_from(trees)), draw(st.sampled_from(trees))
+        build.add_join(f"J{i}", left, draw(st.sampled_from(build.graph(left).names)),
+                       right, draw(st.sampled_from(build.graph(right).names)))
+        trees.append(f"J{i}")
+    for i in range(draw(st.integers(0, 2))):
+        src = draw(st.sampled_from(trees))
+        names = build.graph(src).names
+        if len(names) > 1:
+            v1, v2 = draw(st.permutations(names))[:2]
+            build.add_self_join(f"G{i}", src, v1, v2, draw(st.sampled_from((1, -1))))
+    return build
+
+
+class TestJoinSummaries:
+    """A join's verdict reads det Q and det(Q - v) from its operands' summaries
+    instead of a pass over the joined graph; every step of random
+    constructions gets the (status, reason) of the whole-graph oracle:
+    joins at any vertex of either operand, det-0 seeds, self-joins on top
+    and chains deeper than the recursion limit."""
+
+    @staticmethod
+    def assert_matches_oracle(build, names=None):
+        expected = reference_construction_verdicts(build)
+        for name in names or build.names():
+            entry = build.evaluate(name)
+            assert (entry.status, entry.reason) == expected[name], name
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_constructions(self, seed):
+        self.assert_matches_oracle(random_construction(random.Random(seed), 60))
+
+    @settings(max_examples=200, deadline=None)
+    @given(constructions())
+    def test_drawn_constructions(self, build):
+        self.assert_matches_oracle(build)
+
+    def test_chain_past_the_recursion_limit(self):
+        joins = 1100
+        build = long_chain(random.Random(35), joins)
+        self.assert_matches_oracle(build, [f"C{i}" for i in range(0, joins + 1, 100)] + [f"C{joins}"])
+
+
+def star_chain(k):
+    """A 0-weight a0, then k joins of a fresh (-1, -2, -2) path at its -2 end:
+    the top is a star of k arms, Z/k."""
+    build = Construction()
+    build.add_tree("A0", PlumbingGraph((("a0", 0),), ()))
+    for i in range(1, k + 1):
+        names = [f"p{i}_{j}" for j in range(3)]
+        build.add_tree(f"P{i}", PlumbingGraph(tuple(zip(names, (-1, -2, -2))),
+                                              tuple(zip(names, names[1:], (1, 1)))))
+        build.add_join(f"A{i}", f"A{i - 1}", "a0", f"P{i}", names[2])
+    return build
+
+
+class TestStarChain:
+    """The 1600-step star chain: a join touches only its right operand and the
+    ledger reads join summaries, so building and evaluating stay linear."""
+
+    def test_build_under_half_a_second(self):
+        assert best_cpu_seconds(lambda: star_chain(1600)) < 0.5
+
+    def test_evaluate_under_half_a_second(self):
+        build = star_chain(1600)
+        entry = build.evaluate("A1600")
+        assert (entry.status, entry.reason) == (STATUS_UNKNOWN, "square-condition-holds(1600);no-certificate")
+        assert best_cpu_seconds(lambda: build.evaluate("A1600")) < 0.5
+
+    def test_evaluate_doubling_ratio_under_2_5(self):
+        # A800 of the 1600-step chain is the top of the 800-step one
+        build = star_chain(1600)
+        assert median_cpu_ratio(lambda: build.evaluate("A1600"), lambda: build.evaluate("A800")) < 2.5
 
 
 class TestMutualExclusivity:

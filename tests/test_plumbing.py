@@ -27,7 +27,9 @@ from plumbcalc.plumbing import (
 from plumbcalc.sl2 import MonodromyWord, SL2Element, word_to_matrix
 
 from conftest import (
+    CLASH_NAMES,
     best_cpu_seconds,
+    clashing_trees,
     hyperbolic_strings,
     median_cpu_ratio,
     reference_boundary_homology,
@@ -183,6 +185,15 @@ class TestIntersectionForm:
     def test_self_loop_contributes_twice_its_sign(self):
         g = PlumbingGraph((("a", -3),), (("a", "a", 1),))
         assert intersection_form(g).to_rows() == [[-1]]
+
+    def test_matches_the_form_rows(self):
+        # multi-edges, chords and self-loops: the direct fill against the
+        # nonzeros that the det pass reads
+        rng = random.Random(56)
+        for n in range(1, 30):
+            g = seeded_graph(rng, n)
+            rows = plumbing._form_rows(g.vertices, g.edges)
+            assert intersection_form(g).to_rows() == [[r.get(j, 0) for j in range(n)] for r in rows]
 
     def test_always_symmetric(self):
         g = self_join(SEED_PATH, "b", "d", -1)
@@ -550,22 +561,6 @@ class TestSelfJoin:
                 assert self_join(SEED_PATH, v1, v2, sign).cycle_count == 1
 
 
-# names that clash across two trees and collide with each other's primes
-CLASH_NAMES = [base + "'" * k for base in "abc" for k in range(3)]
-
-
-@st.composite
-def clashing_trees(draw, min_size=1):
-    """Trees of min_size to 7 vertices named from :data:`CLASH_NAMES` in a
-    random declaration order, with weights in -6..6 and shuffled edges."""
-    names = draw(st.lists(st.sampled_from(CLASH_NAMES), min_size=min_size, max_size=7, unique=True))
-    weights = draw(st.lists(st.integers(-6, 6), min_size=len(names), max_size=len(names)))
-    edges = [(names[draw(st.integers(0, i - 1))], names[i], draw(st.sampled_from((1, -1))))
-             for i in range(1, len(names))]
-    edges = [(v, u, s) if draw(st.booleans()) else (u, v, s) for u, v, s in edges]
-    return PlumbingGraph(tuple(zip(names, weights)), tuple(draw(st.permutations(edges))))
-
-
 POSITIONS = ("first", "middle", "last")
 
 
@@ -657,6 +652,52 @@ class TestMergeMatchesReference:
             assert format_graph(chain) == format_graph(expected), level
             assert chain._walk == PlumbingGraph(chain.vertices, chain.edges)._walk
         assert max(map(len, chain.names)) > 80  # the primes did pile up
+
+
+class TestHandedOverGraphs:
+    """join, self-join and the sign normalization hand their results over
+    past the checking constructor: each result equals its own lists rebuilt
+    through ``PlumbingGraph``, and the walk and name index it was handed
+    equal those of that fresh graph.  A join takes its left operand's index
+    along, and a left operand joined again builds one anew."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clashing_trees(), clashing_trees(), st.sampled_from(POSITIONS),
+           st.sampled_from(POSITIONS), st.booleans())
+    def test_join(self, g1, g2, where1, where2, same):
+        g2 = g1 if same else g2
+        v1, v2 = at(g1.names, where1), at(g2.names, where2)
+        expected = format_graph(reference_join(g1, v1, g2, v2))
+        g1._index  # built, so that the join hands it on
+        out = join(g1, v1, g2, v2)
+        fresh = PlumbingGraph(out.vertices, out.edges)
+        assert out == fresh and format_graph(out) == expected
+        assert {"_walk", "_index"} <= out.__dict__.keys()  # handed over, not walked
+        assert out._walk == fresh._walk and out._index == fresh._index
+        assert "_index" not in g1.__dict__
+        again = join(g1, v1, g2, v2)  # g1's index was handed on
+        assert format_graph(again) == expected and again._index == fresh._index
+        # the result's own index passes on in turn, and it builds one anew
+        top = format_graph(reference_join(out, v1, g2, v2))
+        assert format_graph(join(out, v1, g2, v2)) == top == format_graph(join(out, v1, g2, v2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(clashing_trees(min_size=2), st.sampled_from(POSITIONS),
+           st.sampled_from(POSITIONS), st.sampled_from((1, -1)))
+    def test_self_join(self, g, where1, where2, sign):
+        v1, v2 = at(g.names, where1), at(g.names[::-1], where2)
+        if v1 == v2:
+            v2 = next(n for n in g.names if n != v1)
+        out = self_join(g, v1, v2, sign)
+        fresh = PlumbingGraph(out.vertices, out.edges)
+        assert out == fresh and out._index == fresh._index
+        assert out._walk[0] == fresh._walk[0] == 1
+
+    def test_normalized_cycle(self):
+        g = parse_graph("vertex a -3\nvertex b -3\nvertex c -3\nedge a b -\nedge b c -\nedge c a -\n")
+        fresh = PlumbingGraph(g.vertices, g.edges)
+        assert g == fresh and g._walk == fresh._walk and g._index == fresh._index
+        assert [s for _, _, s in g.edges] == [-1, 1, 1]
 
 
 class TestJoinErrorOrder:
