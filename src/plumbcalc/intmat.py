@@ -3,16 +3,19 @@
 All arithmetic uses Python's arbitrary-precision integers; nothing here
 touches floating point or fractions.  The determinant, the rank, the
 signature and the Smith modulus are leading minors of one fraction-free
-(Bareiss) elimination, and ``_minors`` alone picks its kernel: a square
-symmetric matrix of at least ``_SPARSE_MIN`` (80) rows with at most 3n
-nonzeros, such as a plumbing form, is eliminated on its nonzeros in
-least-degree order.  A symmetric elimination with no live diagonal entry
-adds row and column j to row and column i, a congruence that makes a_ii =
-2 a_ij, so every step is one pivot.  ``_unit_core`` takes a form's
-nonzeros to a cokernel by its +-1 pivots.  Smith reduction with
-certificates takes +-1 pivots while any is left, and row Hermite forms
-kept reduced, the sides alternating, on what they leave; Bezout steps
-settle each pivot clash and make the diagonal a divisor chain.  Without
+(Bareiss) elimination, and ``_minors`` alone picks its kernel.  A path or
+cycle form, nonzeros only on the three central diagonals and the two
+corners, gets its leading minors as continuants in O(n) when none before
+the last is 0.  Else a square symmetric matrix of at least
+``_SPARSE_MIN`` (80) rows with at most 3n nonzeros, such as a plumbing
+form, is eliminated on its nonzeros in least-degree order.  A symmetric
+elimination with no live diagonal entry adds row and column j to row and
+column i, a congruence that makes a_ii = 2 a_ij, so every step is one
+pivot.  ``_unit_core`` takes a form's nonzeros to a cokernel by its +-1
+pivots.  Smith reduction with certificates takes +-1 pivots while any is
+left, and row Hermite forms kept reduced, the sides alternating, on what
+they leave; Bezout steps settle each pivot clash and make the diagonal a
+divisor chain.  Without
 certificates, a large sparse symmetric input first loses its +-1 pivots
 to ``_unit_core``; then A of rank r is reduced modulo M by extended-gcd
 sweeps, every entry below M, where the Bareiss pass's last minors give an
@@ -26,6 +29,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import ContractError, DomainError, _ints, _Value, is_perfect_square
 
@@ -525,20 +529,72 @@ def snf(m: IntMatrix) -> SNFResult:
     )
 
 
-# Below this size the dense loops win.  On path and cycle forms (weights -2
-# to -4; least of 25 interleaved runs, 2-vCPU VM, Python 3.11) the sparse
-# path's det and signature cost 2.0-2.6x Bareiss's at n = 16, 1.3-1.9x at
-# 32, 0.8-1.3x at 64, 0.8-1.07x at 80 and 0.5-0.8x at 128.
+def _continuants(a, bc) -> list[int]:
+    """``[1, K_1, ..., K_n]`` for ``a`` of length n >= 1: K_k = a_k K_(k-1) -
+    bc_(k-1) K_(k-2), the leading minors of a tridiagonal matrix of diagonal
+    ``a`` whose pairs of off-diagonal entries multiply to ``bc``."""
+    p, q, ks = 1, a[0], [1, a[0]]
+    for x, y in zip(a[1:], bc):
+        p, q = q, x * q - y * p
+        ks.append(q)
+    return ks
+
+
+def _chain_minors(m: IntMatrix, symmetric: bool, nonzeros: int) -> list[int] | None:
+    """Leading minors of a square ``m`` of n >= 3 rows and ``nonzeros``
+    nonzero entries, all on the diagonal a, the first super- and
+    sub-diagonals b and c, and the corners up = m[0][n-1] and lo =
+    m[n-1][0]: the form of a path or a cycle.  D_1 ... D_n are continuants
+    (:func:`_continuants`); the corners add -up lo M + (-1)^(n+1) (up prod(c)
+    + lo prod(b)) to D_n, M the continuant of rows 1 ... n-2.  A D_n of 0 is
+    dropped (rank n - 1).  With no D_k = 0 for k < n these are the minors of
+    ``_bareiss`` with no pivot step, sign 1; else, or on any other shape,
+    None.  Past the caller's count of zeros the shape costs O(n): slices
+    read the bands.  ``symmetric`` raises ``non-symmetric`` unless b == c
+    and up == lo."""
+    n, e = m.rows, m.entries
+    if nonzeros > 3 * n:
+        return None
+    a, b, c, up, lo = e[::n + 1], e[1::n + 1], e[n::n + 1], e[n - 1], e[n * (n - 1)]
+    band = 3 * n - 2 - a.count(0) - b.count(0) - c.count(0) + (up != 0) + (lo != 0)
+    if band != nonzeros:
+        return None
+    if symmetric and (b != c or up != lo):
+        raise DomainError("non-symmetric", "signature needs a symmetric matrix")
+    bc = list(map(mul, b, c))
+    minors = _continuants(a, bc)
+    if 0 in minors[1:-1]:
+        return None  # Bareiss would pivot here
+    if up or lo:
+        minors[-1] += (up * prod(c) + lo * prod(b)) * (1 if n % 2 else -1)
+        if up and lo:
+            minors[-1] -= up * lo * _continuants(a[1:-1], bc[1:-1])[-1]
+    if not minors[-1]:
+        minors.pop()
+    return minors
+
+
+# The sparse gate.  Paths and cycles in band order take _chain_minors and
+# reach it only with a zero leading minor, and a cycle with a chord has 3n +
+# 2 nonzeros and never passes it.  On the forms that do (weights -2 to -4;
+# least of 25 interleaved runs, 2-vCPU VM, Python 3.11) the sparse path's
+# det and signature cost, over Bareiss's at n = 16 / 32 / 64 / 80 / 128:
+# random trees 1.0x / 0.29x / 0.10x / 0.04x / 0.02x, stars 0.74x / 0.24x /
+# 0.05x / 0.05x / 0.02x, and a cycle on shuffled vertices with a path
+# hanging off it 1.8x / 1.1x / 0.67x / 0.58x / 0.42x.
 _SPARSE_MIN = 80
 
 
-def _sparse_rows(m: IntMatrix) -> list[dict[int, int]] | None:
+def _sparse_rows(m: IntMatrix, nonzeros: int | None = None) -> list[dict[int, int]] | None:
     """Rows ``{column: entry}`` of ``m`` when it is symmetric, has at least
     ``_SPARSE_MIN`` rows and at most three nonzeros a row on average (the
-    shape of a plumbing form); else None.  The zeros are counted and
+    shape of a plumbing form); else None.  ``nonzeros`` is the caller's
+    count of nonzero entries, if it has one.  The zeros are counted and
     skipped at C speed, so the cost past that scan is O(nonzeros)."""
     n, e = m.rows, m.entries
-    if m.cols != n or n < _SPARSE_MIN or n * n - e.count(0) > 3 * n:
+    if m.cols != n or n < _SPARSE_MIN:
+        return None
+    if (len(e) - e.count(0) if nonzeros is None else nonzeros) > 3 * n:
         return None
     cols, flat = tuple(range(n)), iter(e)
     rows = [{j: e[a + j] for j in compress(cols, islice(flat, n))} for a in range(0, n * n, n)]
@@ -549,14 +605,23 @@ def _sparse_rows(m: IntMatrix) -> list[dict[int, int]] | None:
 
 def _minors(m: IntMatrix, symmetric: bool = False) -> tuple[list[int], int]:
     """``(minors, sign)`` of one fraction-free elimination of ``m``, the one
-    place that picks its kernel: ``_sparse_minors`` on what
-    :func:`_sparse_rows` accepts (a symmetric permutation, sign 1), else
-    ``_bareiss``, or ``([1], 1)`` with no row built when a dimension is 0.
+    place that picks its kernel: ``_chain_minors`` on a path or cycle form
+    (sign 1), ``_sparse_minors`` on what :func:`_sparse_rows` accepts (a
+    symmetric permutation, sign 1), else ``_bareiss``, or ``([1], 1)`` with
+    no row built when a dimension is 0.  One count of zeros serves both
+    shape tests; below ``_SPARSE_MIN`` rows a nonzero (0, 2) or (2, 0),
+    off a chain's band once n > 3, skips it, as on most dense input.
     ``symmetric`` pivots on the diagonal, for signatures, and first rejects
-    a non-symmetric ``m`` (``_sparse_rows`` checks its nonzeros)."""
-    rows = _sparse_rows(m)
-    if rows is not None:
-        return _sparse_minors(rows), 1
+    a non-symmetric ``m`` (the shape tests check their nonzeros)."""
+    n, e = m.rows, m.entries
+    if m.cols == n > 2 and (n == 3 or n >= _SPARSE_MIN or not (e[2] or e[2 * n])):
+        nonzeros = n * n - e.count(0)
+        minors = _chain_minors(m, symmetric, nonzeros)
+        if minors is not None:
+            return minors, 1
+        rows = _sparse_rows(m, nonzeros)
+        if rows is not None:
+            return _sparse_minors(rows), 1
     if symmetric and not m.is_symmetric:
         raise DomainError("non-symmetric", "signature needs a symmetric matrix")
     return _bareiss(m.to_rows(), symmetric) if m.rows and m.cols else ([1], 1)

@@ -972,22 +972,25 @@ class TestSparseKernel:
         assert err.value.code == "non-symmetric"
 
     def test_routing(self, monkeypatch):
-        sparse = [_cycle_form(100, -3), _cycle_form(_SPARSE_MIN, 0)]  # 3n nonzeros
-        expected = [(det(m), signature(m), rank(m)) for m in sparse]
+        # the zero-weight cycle has D_1 = 0, so the chain route hands it on
+        sparse = [_cycle_form(_SPARSE_MIN, 0)]  # 3n nonzeros
+        chains = [_form([-2] * 40, [(i, i + 1, 1) for i in range(39)]), _cycle_form(100, -3)]
+        expected = [(det(m), signature(m), rank(m)) for m in sparse + chains]
         dense = mat([[(i + j) % 5 - 2 or 3 for j in range(5)] for i in range(5)])
-        path = _form([-2] * 40, [(i, i + 1, 1) for i in range(39)])
         chord = _form([-3] * 100, [(i, (i + 1) % 100, 1) for i in range(100)] + [(0, 50, 1)])
 
-        def no_bareiss(*args, **kwargs):
-            raise AssertionError("dense elimination")
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination")
 
-        monkeypatch.setattr(intmat, "_bareiss", no_bareiss)
-        assert [(det(m), signature(m), rank(m)) for m in sparse] == expected
-        for m in (dense, path, _cycle_form(_SPARSE_MIN - 1, 0), chord):
+        monkeypatch.setattr(intmat, "_bareiss", refuse)
+        assert [(det(m), signature(m), rank(m)) for m in sparse] == expected[:1]
+        for m in (dense, _cycle_form(_SPARSE_MIN - 1, 0), chord):
             assert m.is_symmetric
             for fn in (det, signature, rank):
                 with pytest.raises(AssertionError):
                     fn(m)
+        monkeypatch.setattr(intmat, "_sparse_minors", refuse)
+        assert [(det(m), signature(m), rank(m)) for m in chains] == expected[1:]
 
     def test_smith_diagonal_of_paths_cycles_and_stars(self):
         # unit pivots by _unit_core, then the core; a star of k arms (-2, -1)
@@ -1030,3 +1033,92 @@ class TestSparseKernel:
         assert median_cpu_ratio(lambda: _bareiss(m.to_rows()), lambda: det(m)) >= 2.5
         assert median_cpu_ratio(lambda: _bareiss(m.to_rows(), symmetric=True),
                                 lambda: signature(m)) >= 2.5
+
+
+@st.composite
+def chain_matrices(draw, symmetric=None):
+    """Square matrices whose nonzeros lie on the diagonal, the first super-
+    and sub-diagonals and the corners (0, n-1) and (n-1, 0): paths, cycles and
+    one-sided corners, symmetric or not, with zero couplings, and with
+    diagonals of mostly 0 or +-1 so that leading minors vanish.  Sizes fall
+    on both sides of ``_SPARSE_MIN``."""
+    n = draw(st.one_of(st.integers(3, 12), st.integers(_SPARSE_MIN - 10, 110)))
+    if symmetric is None:
+        symmetric = draw(st.booleans())
+    weight = draw(st.sampled_from((st.integers(-4, 4), st.sampled_from((0, 0, 1, -1, -2)),
+                                   st.sampled_from((-2, -3)))))
+    coupling = st.sampled_from((1, -1, 1, -1, 0, 2))
+    a = draw(st.lists(weight, min_size=n, max_size=n))
+    b = draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+    c = b if symmetric else draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+    has_up, has_lo = draw(st.sampled_from(((0, 0), (1, 1), (1, 0), (0, 1))))
+    up = draw(coupling) * has_up
+    lo = up if symmetric else draw(coupling) * has_lo
+    q = [0] * (n * n)
+    q[::n + 1], q[1::n + 1], q[n::n + 1] = a, b, c
+    q[n - 1], q[n * (n - 1)] = up, lo
+    return IntMatrix(n, n, tuple(q))
+
+
+class TestChainMinors:
+    """``_chain_minors`` (continuants) against ``_bareiss`` and ``_sparse_minors``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_matrices())
+    def test_minors_are_bareiss_minors(self, m):
+        nonzeros = len(m.entries) - m.entries.count(0)
+        chain = intmat._chain_minors(m, False, nonzeros)
+        if chain is not None:
+            assert (chain, 1) == _bareiss(m.to_rows())
+        if m.rows < _SPARSE_MIN:
+            assert intmat._minors(m) == _bareiss(m.to_rows())
+            if m.is_symmetric:
+                assert intmat._minors(m, symmetric=True) == _bareiss(m.to_rows(), symmetric=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_matrices())
+    def test_det_rank_signature(self, m):
+        if not m.is_symmetric:
+            minors, sign = _bareiss(m.to_rows())
+            assert rank(m) == len(minors) - 1
+            assert det(m) == (sign * minors[-1] if len(minors) > m.rows else 0)
+        else:
+            r, d, sig = _oracle(m)
+            assert (rank(m), det(m)) == (r, d)
+            minors = _kernel(m)
+            assert (len(minors) - 1, _sylvester(minors)) == (r, sig)
+            assert signature(m) == sig
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain_matrices().filter(lambda m: m.rows <= 12))
+    def test_smith_diagonal(self, m):
+        assert smith_diagonal(m) == snf(m).diagonal()
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain_matrices(symmetric=False).filter(lambda m: not m.is_symmetric))
+    def test_band_asymmetric_signature_raises_before_eliminating(self, m):
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intmat, "_bareiss", refuse)
+            patch.setattr(intmat, "_sparse_minors", refuse)
+            with pytest.raises(DomainError) as err:
+                signature(m)
+        assert err.value.code == "non-symmetric"
+
+    def test_cpu_ratio_on_40_path(self):
+        # the 40-vertex -2 path took dense Bareiss, O(n^2) steps, before the
+        # continuant's O(n)
+        m = _form([-2] * 40, [(i, i + 1, 1) for i in range(39)])
+        assert median_cpu_ratio(lambda: _bareiss(m.to_rows()), lambda: det(m)) >= 4
+        assert median_cpu_ratio(lambda: _bareiss(m.to_rows(), symmetric=True),
+                                lambda: signature(m)) >= 3
+
+    def test_cpu_ratio_on_800_cycle(self):
+        # the word 3,3,...,3 took the sparse kernel: the same scan of the n^2
+        # entries, then the dict rows and their elimination
+        m = _cycle_form(800, -3)
+        assert median_cpu_ratio(lambda: _sparse_minors(_sparse_rows(m)), lambda: det(m)) >= 4
+        assert median_cpu_ratio(lambda: _sparse_minors(_sparse_rows(m)),
+                                lambda: signature(m)) >= 3
